@@ -25,15 +25,15 @@ can raise D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Literal
 
 from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree
-from .core import _lowering_factor
+from .core import _factors, _integer_terms
 from .errors import (
     BoundError,
     DegenerateMonoidError,
@@ -155,6 +155,9 @@ class CentralizerBasis:
     holds, per residue class of the normalized degree modulo the period,
     the basis element of least degree in that class (None when the class is
     not reached within the bound, which also sets `truncated`).
+
+    The basis is hashable: the two dict fields are left out of the hash,
+    since `element` and `bound` determine them.
     """
 
     element: WeylElement
@@ -164,8 +167,8 @@ class CentralizerBasis:
     levels: tuple[int, ...]
     level_gcd: int
     period: int
-    by_level: dict[int, WeylElement]
-    ray_degrees: dict[int, int]
+    by_level: dict[int, WeylElement] = field(hash=False)
+    ray_degrees: dict[int, int] = field(hash=False)
     picks: tuple[WeylElement | None, ...]
     pick_levels: tuple[int | None, ...]
     truncated: bool
@@ -193,29 +196,27 @@ def _monomials_upto(bound: int, keyfn) -> list[Monomial]:
     return monos
 
 
-def _integer_terms(p: WeylElement) -> list[tuple[int, int, int]]:
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    return [(i, j, int(c * scale)) for (i, j), c in p.terms.items()]
-
-
 def _ad_matrix_rows(
-    p_terms: list[tuple[int, int, int]],
+    p: WeylElement,
     columns: list[Monomial],
     keyfn,
     rhs: WeylElement | None = None,
 ) -> tuple[list[dict[int, int]], int]:
-    """Sparse rows of Q -> [P, Q] on the given column monomials.
+    """Sparse rows of Q -> [P, Q] on the given column monomials, scaled to integers.
 
     With `rhs` given, its entries are appended at column index len(columns)
-    so the rows encode the inhomogeneous system [P, Q] = rhs.
+    so the rows encode the inhomogeneous system [P, Q] = rhs.  Each entry
+    uses the commutator rule of `core`: only the lowering terms i >= 1.
     """
+    _, p_terms = _integer_terms(p)
     ncols = len(columns)
     by_target: dict[Monomial, dict[int, int]] = {}
     for idx, (a, b) in enumerate(columns):
         for k, j, c in p_terms:
-            top = max(min(j, a), min(b, k))
-            for i in range(1, top + 1):
-                w = _lowering_factor(j, a, i) - _lowering_factor(b, k, i)
+            pq, qp = _factors(j, a), _factors(b, k)
+            npq, nqp = len(pq), len(qp)
+            for i in range(1, max(npq, nqp)):
+                w = (pq[i] if i < npq else 0) - (qp[i] if i < nqp else 0)
                 if not w:
                     continue
                 target = (k + a - i, j + b - i)
@@ -226,10 +227,9 @@ def _ad_matrix_rows(
                 else:
                     del row[idx]
     if rhs is not None:
-        scale = lcm(*(c.denominator for c in rhs.terms.values())) if rhs else 1
-        for m, c in rhs.terms.items():
-            row = by_target.setdefault(m, {})
-            row[ncols] = int(c * scale)
+        _, rhs_terms = _integer_terms(rhs)
+        for i, j, c in rhs_terms:
+            by_target.setdefault((i, j), {})[ncols] = c
     ordered = sorted(by_target, key=keyfn, reverse=True)
     return [by_target[m] for m in ordered], ncols
 
@@ -286,7 +286,7 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
         direction, _ = primitive_direction_mirror(p)
     keyfn = _order_key(sector)
     columns = _monomials_upto(bound, keyfn)
-    rows, ncols = _ad_matrix_rows(_integer_terms(p), columns, keyfn)
+    rows, ncols = _ad_matrix_rows(p, columns, keyfn)
     kernel = sparse_kernel(rows, ncols)
     vectors = [
         {columns[idx]: val for idx, val in vec.items()} for vec in kernel

@@ -11,7 +11,9 @@ Grammar for element expressions (whitespace is free):
     rational := natural ('/' natural)?
 
 Juxtaposition is not multiplication; '*' is mandatory.  Exponents are
-nonnegative integer literals.
+nonnegative integer literals.  A natural is a string of ASCII digits, at
+most as long as Python's integer-string limit (`sys.get_int_max_str_digits`,
+4300 by default); a longer one is a contract error.
 
 The canonical printer sorts terms by total degree descending, then X
 exponent descending, elides unit coefficients and zero exponents, and
@@ -70,6 +72,9 @@ class _Token:
     column: int
 
 
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
@@ -85,9 +90,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("NUMBER", text[start:i], line, col))
             col += i - start
@@ -105,6 +110,17 @@ def _tokenize(text: str) -> list[_Token]:
         raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
+
+
+def _number(tok: _Token) -> int:
+    """The value of a NUMBER token, within Python's integer-string limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(tok.text) > limit:
+        raise MalformedInputError(
+            f"number of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
+            f"exceeds the limit of {limit} digits"
+        )
+    return int(tok.text)
 
 
 class _Parser:
@@ -161,14 +177,14 @@ class _Parser:
             return -self.factor()
         if tok.kind == "NUMBER":
             self.take()
-            num = int(tok.text)
+            num = _number(tok)
             if self.peek().kind == "OP" and self.peek().text == "/":
                 self.take()
                 den_tok = self.peek()
                 if den_tok.kind != "NUMBER":
                     raise ExprSyntaxError("expected a denominator", den_tok.line, den_tok.column)
                 self.take()
-                den = int(den_tok.text)
+                den = _number(den_tok)
                 if den == 0:
                     raise MalformedInputError(
                         f"zero denominator at line {den_tok.line}, column {den_tok.column}"
@@ -203,7 +219,7 @@ class _Parser:
         if tok.kind != "NUMBER":
             raise ExprSyntaxError("expected a nonnegative integer exponent", tok.line, tok.column)
         self.take()
-        return int(tok.text)
+        return _number(tok)
 
 
 def parse_element(text: str) -> WeylElement:

@@ -12,7 +12,20 @@ Products of normal words are normal-ordered with
 
 where i runs from 0 to min(j, l): choosing i of the j middle Y factors and
 i of the l middle X factors, there are i! ways to pair them off, and each
-pairing lowers both exponents by one.
+pairing lowers both exponents by one.  `_factors(j, l)` caches the row of
+these lowering factors.
+
+`mul` and `commutator` run on integers.  Each operand is scaled once to
+integer numerators over the lcm of its denominators, the products are
+summed as plain ints per monomial, and each output coefficient is divided
+by the product of the two denominators once, at the end.  In the
+commutator, the monomial rule for a*b and for b*a lands on the same
+monomial for the same i, and the i = 0 terms are both the bare product of
+the coefficients, so
+
+    [X^k Y^j, X^l Y^m] = sum_{i >= 1} (f(j,l,i) - f(m,k,i)) * X^{k+l-i} Y^{j+m-i}
+
+with f the lowering factor; the i = 0 terms, which cancel, are never formed.
 
 Elements are immutable and hashable, so values can be shared freely.
 """
@@ -21,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -34,9 +47,9 @@ _ZERO = Fraction(0)
 
 
 @cache
-def _lowering_factor(j: int, l: int, i: int) -> int:
-    # number of ways i of j Y's absorb i of l X's
-    return factorial(i) * comb(j, i) * comb(l, i)
+def _factors(j: int, l: int) -> tuple[int, ...]:
+    # entry i: the number of ways i of j Y's absorb i of l X's
+    return tuple(factorial(i) * comb(j, i) * comb(l, i) for i in range(min(j, l) + 1))
 
 
 class WeylElement:
@@ -177,26 +190,53 @@ def scalar_mul(c: Coefficient, a: WeylElement) -> WeylElement:
     return WeylElement._raw({k: c * v for k, v in a._terms.items()})
 
 
+def _integer_terms(a: WeylElement) -> tuple[int, list[tuple[int, int, int]]]:
+    """(d, [(i, j, n)]) with d the lcm of the denominators and a = sum n/d X^i Y^j."""
+    d = lcm(*(c.denominator for c in a._terms.values()))
+    return d, [(i, j, c.numerator * (d // c.denominator)) for (i, j), c in a._terms.items()]
+
+
+def _over(sums: dict[Monomial, int], den: int) -> WeylElement:
+    # integer sums over a common denominator, back to canonical Fractions
+    return WeylElement._raw({key: Fraction(v, den) for key, v in sums.items() if v})
+
+
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product, extended bilinearly from the monomial rule."""
-    out: dict[Monomial, Fraction] = {}
-    for (k, j), ca in a._terms.items():
-        for (l, m), cb in b._terms.items():
+    da, ta = _integer_terms(a)
+    db, tb = _integer_terms(b)
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for k, j, ca in ta:
+        for l, m, cb in tb:
             c = ca * cb
-            for i in range(min(j, l) + 1):
-                w = c * _lowering_factor(j, l, i)
-                key = (k + l - i, j + m - i)
-                s = out.get(key, _ZERO) + w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return WeylElement._raw(out)
+            x, y = k + l, j + m
+            for i, f in enumerate(_factors(j, l)):
+                key = (x - i, y - i)
+                sums[key] = get(key, 0) + c * f
+    return _over(sums, da * db)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] = a*b - b*a."""
-    return add(mul(a, b), -mul(b, a))
+    """[a, b] = a*b - b*a, summed over the lowering terms i >= 1 only."""
+    da, ta = _integer_terms(a)
+    db, tb = _integer_terms(b)
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for k, j, ca in ta:
+        for l, m, cb in tb:
+            ab, ba = _factors(j, l), _factors(m, k)
+            nab, nba = len(ab), len(ba)
+            if nab == nba == 1:
+                continue  # the two monomials commute
+            c = ca * cb
+            x, y = k + l, j + m
+            for i in range(1, max(nab, nba)):
+                w = (ab[i] if i < nab else 0) - (ba[i] if i < nba else 0)
+                if w:
+                    key = (x - i, y - i)
+                    sums[key] = get(key, 0) + c * w
+    return _over(sums, da * db)
 
 
 def power(a: WeylElement, n: int) -> WeylElement:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
-from .core import ONE, WeylElement, X, Y, commutator, from_terms, mul, power, total_degree
+from .core import ONE, WeylElement, X, Y, commutator, from_terms, mul, total_degree
 from .centralizer import CentralizerBasis, centralizer_basis, expand_in_basis
 from .errors import (
     BoundEscapeError,
@@ -161,8 +161,11 @@ def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
         raise NotDixmierPairError("[q, p] is not 1")
     basis = centralizer_basis(p, bound)
     powers_dim = bound // total_degree(p) + 1
+    p_m = ONE
     for m in range(powers_dim):
-        if expand_in_basis(basis, power(p, m)) is None:
+        if m:
+            p_m = mul(p_m, p)
+        if expand_in_basis(basis, p_m) is None:
             raise InternalInconsistencyError("a power of p is missing from its centralizer")
     return PairCheckReport(
         holds=basis.dimension == powers_dim,
@@ -178,7 +181,7 @@ def no_partner_check(p: WeylElement, bound: int) -> bool:
     Defined for p in the XY-diagonal subalgebra (all exponent pairs equal),
     where the answer is known to be affirmative for every bound.
     """
-    from .centralizer import _ad_matrix_rows, _integer_terms, _monomials_upto, _order_key
+    from .centralizer import _ad_matrix_rows, _monomials_upto, _order_key
     from .linalg import sparse_solvable
 
     if any(i != j for i, j in p.terms):
@@ -188,9 +191,7 @@ def no_partner_check(p: WeylElement, bound: int) -> bool:
     keyfn = _order_key("x")
     columns = _monomials_upto(bound, keyfn)
     # [q, p] = 1 reads as [p, q] = -1 in the assembled rows
-    rows, ncols = _ad_matrix_rows(
-        _integer_terms(p), columns, keyfn, rhs=-ONE
-    )
+    rows, ncols = _ad_matrix_rows(p, columns, keyfn, rhs=-ONE)
     return not sparse_solvable(rows, ncols)
 
 
@@ -233,11 +234,22 @@ class ElementaryAutomorphism:
         self.image_y = image_y
 
     def apply(self, a: WeylElement) -> WeylElement:
-        """Substitute the images into the normal form of a."""
-        out = WeylElement()
-        for (i, j), c in a.terms.items():
-            out = out + c * mul(power(self.image_x, i), power(self.image_y, j))
-        return out
+        """Substitute the images into the normal form of a.
+
+        The powers of each image are built once, each from the previous
+        one, and the images of all terms are summed in one accumulator.
+        """
+        xs, ys = [ONE], [ONE]
+        for i, j in a.terms:
+            while len(xs) <= i:
+                xs.append(mul(xs[-1], self.image_x))
+            while len(ys) <= j:
+                ys.append(mul(ys[-1], self.image_y))
+        return from_terms(
+            (x, y, c * v)
+            for (i, j), c in a.terms.items()
+            for (x, y), v in mul(xs[i], ys[j]).terms.items()
+        )
 
     def __repr__(self) -> str:
         if self.kind == "fourier":

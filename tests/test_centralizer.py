@@ -205,6 +205,14 @@ class TestCentralizerBasis:
         with pytest.raises(BoundError):
             centralizer_basis(power(X, 3), 2)
 
+    def test_equal_bases_hash_alike(self):
+        # Dixmier's L = (Y^2 + X^3 + 1)^2 + 2X, a period-2 centralizer
+        dixmier_l = power(power(Y, 2) + power(X, 3) + 1, 2) + 2 * X
+        first, second = centralizer_basis(dixmier_l, 9), centralizer_basis(dixmier_l, 9)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert (first.levels, first.period) == ((0, 6, 9), 2)
+
     def test_agreement_with_homogeneous_solver(self):
         for p in [X2Y, X3Y, power(X, 3)]:
             bound = 9

@@ -301,6 +301,17 @@ class TestExitCodes:
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "X^" + "1" * 5000, "1/" + "1" * 5000])
+    def test_huge_literal_is_two(self, capsys, text):
+        code, _, err = run_cli(["normalize", text], capsys)
+        assert code == 2
+        assert "exceeds the limit of" in err
+
+    def test_non_ascii_digit_is_two(self, capsys):
+        code, _, err = run_cli(["normalize", "X^\u00b2"], capsys)
+        assert code == 2
+        assert "syntax error" in err
+
 
 def test_roundtrip_on_seeded_sample():
     rng = random.Random(424242)

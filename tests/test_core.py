@@ -19,7 +19,7 @@ from weylalg import (
     scalar_mul,
     total_degree,
 )
-from weylalg.oracle import act, oracle_mul_check, x_power
+from weylalg.oracle import act, max_y_exponent, oracle_mul_check, x_power
 
 from conftest import weyl_elements
 
@@ -94,6 +94,41 @@ class TestCommutator:
 
     def test_y2_x2(self):
         assert commutator(power(Y, 2), power(X, 2)) == 4 * mul(X, Y) + 2
+
+
+class TestIntegerKernels:
+    def test_zero_operand(self):
+        e = from_terms([(2, 3, Fraction(-5, 7)), (0, 1, 1)])
+        assert mul(ZERO, e) == ZERO and mul(e, ZERO) == ZERO
+        assert commutator(ZERO, e) == ZERO and commutator(e, ZERO) == ZERO
+
+    def test_scalar_operand(self):
+        e = from_terms([(2, 3, Fraction(-5, 7)), (0, 1, 1)])
+        c = from_terms([(0, 0, Fraction(3, 2))])
+        assert mul(c, e) == scalar_mul(Fraction(3, 2), e) == mul(e, c)
+        assert commutator(c, e) == ZERO and commutator(e, c) == ZERO
+
+    def test_element_commutes_with_itself_and_its_square(self):
+        p = from_terms([(3, 1, Fraction(2, 3)), (0, 2, Fraction(-1, 4)), (1, 0, 5)])
+        assert commutator(p, p) == ZERO
+        assert commutator(p, power(p, 2)) == ZERO
+
+    def test_result_coefficients_are_canonical(self):
+        product = mul(scalar_mul(Fraction(1, 2), X), scalar_mul(Fraction(2, 3), Y))
+        expected = from_terms([(1, 1, Fraction(1, 3))])
+        assert dict(product.terms) == dict(expected.terms)
+        assert all(type(c) is Fraction for c in product.terms.values())
+        assert hash(product) == hash(expected)
+
+    def test_coprime_denominators(self):
+        a = from_terms([(1, 0, Fraction(1, 4)), (0, 0, Fraction(1, 9))])
+        b = from_terms([(0, 1, Fraction(1, 9)), (0, 0, Fraction(1, 4))])
+        assert mul(a, b) == from_terms(
+            [(1, 1, Fraction(1, 36)), (1, 0, Fraction(1, 16)), (0, 1, Fraction(1, 81)),
+             (0, 0, Fraction(1, 36))]
+        )
+        assert oracle_mul_check(a, b) and oracle_mul_check(b, a)
+        assert commutator(a, b) == from_terms([(0, 0, Fraction(-1, 36))])
 
 
 class TestPower:
@@ -174,6 +209,20 @@ def _poly_add(p, q):
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def _poly_sub(p, q):
+    return _poly_add(p, tuple(-v for v in q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_elements(), weyl_elements())
+def test_commutator_matches_operator_bracket(a, b):
+    # the actions on x^0 .. x^N determine an element of Y degree at most N
+    bracket = commutator(a, b)
+    for n in range(max_y_exponent(a) + max_y_exponent(b) + 1):
+        p = x_power(n)
+        assert act(bracket, p) == _poly_sub(act(a, act(b, p)), act(b, act(a, p)))
 
 
 @settings(max_examples=40, deadline=None)
