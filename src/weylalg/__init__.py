@@ -33,6 +33,7 @@ from .errors import (
     MembershipError,
     NotDixmierPairError,
     NotHomogeneousError,
+    SizeLimitError,
     UndefinedOnZeroError,
     WeylError,
     WrongSectorError,

@@ -1,18 +1,24 @@
 """Centralizer computation up to a total-degree bound.
 
 Two solvers live here.  For homogeneous elements, commutation reduces to a
-functional equation between shifted polynomials in XY, solved exactly by
-linear algebra on polynomial coefficients; the solution space in each
-homogeneity degree has dimension at most one.
+functional equation between shifted polynomials in XY, solved exactly on
+integer rows; the solution space in each homogeneity degree has dimension
+at most one.
 
 For a general element P of positive diagonal degree (or mirror degree), the
-full solver computes the exact kernel of Q -> [P, Q] on the span of all
-monomials of total degree at most D.  Commutators drop total degree by at
-least two, so the kernel matrix has rows up to degree D + deg(P) - 2.  The
-kernel is then put in reduced row echelon form under the diagonal-major
-monomial order (diagonal first, then X exponent), which makes every basis
-vector monic with a distinct leading term on the primitive ray of P, and
-makes the basis unique for the given bound.
+general solver finds the kernel of Q -> [P, Q] on all monomials of total
+degree at most D by a descent in the diagonal-major order (diagonal first,
+then the X exponent; the Y exponent in the mirror sector).  With (i0, j0)
+the leading weight of P, the top term of [P, X^a Y^b] sits at
+(a + i0 - 1, b + j0 - 1) with coefficient c0 (j0 a - i0 b), which vanishes
+exactly on the primitive ray.  So, from the highest target down, each row
+of the commutator matrix either solves one new off-ray monomial from those
+already solved, or constrains the coefficients at the ray points, which are
+the parameters.  The small constraint system, parameters by ascending
+level, has the leading ray levels as its free columns, and its kernel
+vectors give the basis in reduced echelon form under the same order: every
+vector is monic with a distinct leading term on the ray, and the basis is
+unique for the given bound.
 
 Everything returned is re-verified to commute with P by actual
 multiplication; the linear algebra is never trusted on its own.
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Literal
 
 from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree
@@ -48,11 +54,12 @@ from .leading import (
     diag_degree,
     diag_degree_mirror,
     is_x_dominant,
-    is_y_dominant,
+    leading_weight,
+    leading_weight_mirror,
     primitive_direction,
     primitive_direction_mirror,
 )
-from .linalg import dense_kernel, sparse_kernel
+from .linalg import sparse_kernel
 
 Sector = Literal["x", "y"]
 
@@ -79,22 +86,32 @@ def _functional_line(f: XYPolynomial, step_g: int, step_f: int, deg: int) -> XYP
     failing would contradict the alignment constraint, so both are treated
     as internal errors.
     """
-    shifted_f = f.shift(step_f)
-    columns = []
+    # column m is Z^m f(Z + step_f) - (Z + step_g)^m f(Z), scaled to integers;
+    # shifting by an integer keeps the denominators of f
+    den = lcm(*(c.denominator for c in f.coeffs))
+    plain = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    shifted = [c.numerator * (den // c.denominator) for c in f.shift(step_f).coeffs]
+    rows: list[dict[int, int]] = [{} for _ in range(deg + len(plain))]
+    zpow = [1]  # ascending coefficients of (Z + step_g)^m
     for m in range(deg + 1):
-        zm = XYPolynomial([0] * m + [1])
-        shifted_zm = XYPolynomial([step_g, 1]) ** m
-        columns.append(zm * shifted_f - shifted_zm * f)
-    nrows = deg + f.degree + 1
-    matrix = [[col.coefficient(t) for col in columns] for t in range(nrows)]
-    kernel = dense_kernel(matrix)
+        col = [0] * len(rows)
+        for t, c in enumerate(shifted):
+            col[t + m] += c
+        for s, a in enumerate(zpow):
+            for t, c in enumerate(plain):
+                col[s + t] -= a * c
+        for t, v in enumerate(col):
+            if v:
+                rows[t][m] = v
+        zpow = [a + step_g * b for a, b in zip([0] + zpow, zpow + [0])]
+    kernel = sparse_kernel(rows, deg + 1)
     if not kernel:
         return None
     if len(kernel) > 1:
         raise InternalInconsistencyError(
             "homogeneous commutation equation has a solution space of dimension > 1"
         )
-    g = XYPolynomial(kernel[0])
+    g = XYPolynomial([kernel[0].get(m, 0) for m in range(deg + 1)])
     if g.degree != deg:
         raise InternalInconsistencyError(
             "homogeneous commutation solution has unexpected degree"
@@ -201,12 +218,14 @@ def _ad_matrix_rows(
     columns: list[Monomial],
     keyfn,
     rhs: WeylElement | None = None,
-) -> tuple[list[dict[int, int]], int]:
+) -> tuple[list[dict[int, int]], int, list[Monomial]]:
     """Sparse rows of Q -> [P, Q] on the given column monomials, scaled to integers.
 
-    With `rhs` given, its entries are appended at column index len(columns)
-    so the rows encode the inhomogeneous system [P, Q] = rhs.  Each entry
-    uses the commutator rule of `core`: only the lowering terms i >= 1.
+    Returns the rows, the number of columns and the target monomial of each
+    row; rows are sorted by their target, keyfn descending.  With `rhs`
+    given, its entries are appended at column index len(columns) so the rows
+    encode the inhomogeneous system [P, Q] = rhs.  Each entry uses the
+    commutator rule of `core`: only the lowering terms i >= 1.
     """
     _, p_terms = _integer_terms(p)
     ncols = len(columns)
@@ -231,7 +250,76 @@ def _ad_matrix_rows(
         for i, j, c in rhs_terms:
             by_target.setdefault((i, j), {})[ncols] = c
     ordered = sorted(by_target, key=keyfn, reverse=True)
-    return [by_target[m] for m in ordered], ncols
+    return [by_target[m] for m in ordered], ncols, ordered
+
+
+def _ray_descent(
+    rows: list[dict[int, int]],
+    targets: list[Monomial],
+    columns: list[Monomial],
+    lead: Weight,
+    direction: Weight,
+) -> list[dict[Monomial, Fraction]]:
+    """Kernel of the ad rows by forward substitution over the ray parameters.
+
+    Parameter l is the coefficient at the ray point l * direction.  A row
+    that meets an unsolved column, or a column left unsolved, contradicts
+    the structure in the module docstring and raises.
+    """
+    i0, j0 = lead
+    di, dj = direction
+    index = {m: idx for idx, m in enumerate(columns)}
+    # column index -> (integer vector over the levels, positive denominator)
+    solved: dict[int, tuple[dict[int, int], int]] = {}
+    for idx, (a, b) in enumerate(columns):
+        if a * dj == b * di:
+            solved[idx] = ({a // di if di else b // dj: 1}, 1)
+    ray = set(solved)
+    constraints: list[dict[int, int]] = []
+    for row, (x, y) in zip(rows, targets):
+        col = index.get((x - i0 + 1, y - j0 + 1))
+        if col in ray:
+            col = None  # the top term of a ray column vanishes: a constraint row
+        den = 1
+        for c in row:
+            if c != col:
+                if c not in solved:
+                    raise InternalInconsistencyError(
+                        "descent row meets a column that is not solved yet"
+                    )
+                den = lcm(den, solved[c][1])
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            if c == col:
+                continue
+            vec, d = solved[c]
+            scale = v * (den // d)
+            for l, u in vec.items():
+                acc[l] = acc.get(l, 0) + scale * u
+        acc = {l: u for l, u in acc.items() if u}
+        if col is None:
+            if acc:
+                constraints.append(acc)
+        else:
+            pivot = row.get(col)
+            if not pivot:
+                raise InternalInconsistencyError("descent pivot is missing from its row")
+            den *= -pivot
+            g = gcd(den, *acc.values()) * (1 if den > 0 else -1)
+            solved[col] = ({l: u // g for l, u in acc.items()}, den // g)
+    if len(solved) != len(columns):
+        raise InternalInconsistencyError("descent left a column unsolved")
+    vectors = []
+    for params in sparse_kernel(constraints, len(ray)):
+        pden = lcm(*(t.denominator for t in params.values()))
+        pnum = {l: t.numerator * (pden // t.denominator) for l, t in params.items()}
+        vec: dict[Monomial, Fraction] = {}
+        for idx, (coeffs, d) in solved.items():
+            s = sum(u * pnum[l] for l, u in coeffs.items() if l in pnum)
+            if s:
+                vec[columns[idx]] = Fraction(s, d * pden)
+        vectors.append(vec)
+    return vectors
 
 
 def _subtract_multiple(target: dict[Monomial, Fraction], ratio: Fraction, row: dict[Monomial, Fraction]) -> None:
@@ -280,18 +368,18 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
         )
     if is_x_dominant(p):
         sector: Sector = "x"
+        lead = leading_weight(p)
         direction, _ = primitive_direction(p)
     else:
         sector = "y"
+        lead = leading_weight_mirror(p)
         direction, _ = primitive_direction_mirror(p)
     keyfn = _order_key(sector)
     columns = _monomials_upto(bound, keyfn)
-    rows, ncols = _ad_matrix_rows(p, columns, keyfn)
-    kernel = sparse_kernel(rows, ncols)
-    vectors = [
-        {columns[idx]: val for idx, val in vec.items()} for vec in kernel
-    ]
-    reduced = _rref_by_leading(vectors, keyfn)
+    rows, _, targets = _ad_matrix_rows(p, columns, keyfn)
+    # the descent already yields the reduced echelon form, so _rref_by_leading
+    # only orders it by leading term, in one sweep
+    reduced = _rref_by_leading(_ray_descent(rows, targets, columns, lead, direction), keyfn)
 
     di, dj = direction
     by_level: dict[int, WeylElement] = {}

@@ -20,9 +20,26 @@ exponent descending, elides unit coefficients and zero exponents, and
 prints 0 for the zero element; parsing the result reproduces the element.
 Rational coefficients travel through JSON as exact "num/den" strings.
 
+Size limits; past one, SizeLimitError (exit 2):
+
+- exponents: MAX_EXPONENT;
+- total degree, checked before computing: MAX_DEGREE for every power and
+  product that the parser, `mul`, `comm` and `pow` form, for a
+  `homog-centralizer` component (|j| deg(P) / |diag(P)|) and for a
+  `gen-pair` script (the product of its step degrees);
+- coefficients of those powers and products: MAX_COEFF_BITS bits, so they
+  print within the default limit of 4300 digits;
+- nesting of parentheses and unary minus: MAX_NESTING;
+- `--max-total-degree`: MAX_BOUND.
+
+At the caps, `pow "X+Y+1" 100` takes 1.0 s, and the centralizer of
+Dixmier's L at bound 100 takes 2.0 s and 36 MB (one core, CPython 3.11);
+the solver's cost also grows with the number of terms of P.
+
 Exit codes: 0 success, 1 when the computation reports false or empty,
 2 for usage, syntax, or contract errors, 3 for an internal inconsistency
-(a guaranteed identity failed, which is always a bug).
+(a guaranteed identity failed, which is always a bug).  `main` returns the
+code and raises nothing, argparse usage errors included.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ from .centralizer import (
     homogeneous_centralizer_component,
     ray_degree,
 )
-from .core import WeylElement, X, Y, commutator, mul, power
+from .core import ONE, WeylElement, X, Y, commutator, mul, total_degree
 from .derivation import (
     ElementaryAutomorphism,
     derivation_report,
@@ -54,11 +71,61 @@ from .errors import (
     ExprSyntaxError,
     InternalInconsistencyError,
     MalformedInputError,
+    SizeLimitError,
     WeylError,
 )
 from .graded import GradedForm, XYPolynomial, from_graded_form, homogeneous_components, to_graded_form
-from .leading import LeadingData, leading_data
+from .leading import LeadingData, diag_degree, leading_data
 from .oracle import oracle_equal, oracle_mul_check
+
+# ---------------------------------------------------------------------------
+# size limits
+
+MAX_EXPONENT = 1000
+MAX_DEGREE = 100
+MAX_COEFF_BITS = 14284  # below 2^14284 an integer has at most 4300 digits
+MAX_BOUND = 100
+MAX_NESTING = 100
+
+
+def _degree(a: WeylElement) -> int:
+    return total_degree(a) if a else 0
+
+
+def _check_coefficients(a: WeylElement) -> WeylElement:
+    for c in a.terms.values():
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
+            raise SizeLimitError(f"a coefficient exceeds the limit of {MAX_COEFF_BITS} bits")
+    return a
+
+
+def _check_degree(degree: int, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise SizeLimitError(f"{what} of total degree {degree} exceeds the limit of {MAX_DEGREE}")
+
+
+def _product(a: WeylElement, b: WeylElement) -> WeylElement:
+    """a * b within the degree and coefficient limits."""
+    _check_degree(_degree(a) + _degree(b), "product")
+    return _check_coefficients(mul(a, b))
+
+
+def _power(a: WeylElement, n: int) -> WeylElement:
+    """a^n within the exponent, degree and coefficient limits."""
+    if n > MAX_EXPONENT:
+        raise SizeLimitError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}")
+    _check_degree(_degree(a) * n, "power")
+    out = ONE
+    for _ in range(n):
+        out = _check_coefficients(mul(out, a))
+    return out
+
+
+def _bound(value: int) -> int:
+    if value > MAX_BOUND:
+        raise SizeLimitError(f"bound {value} exceeds the limit of {MAX_BOUND}")
+    return value
+
 
 # ---------------------------------------------------------------------------
 # tokenizer and parser
@@ -127,6 +194,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -166,11 +234,24 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "OP" and tok.text == "*":
                 self.take()
-                value = mul(value, self.factor())
+                value = _product(value, self.factor())
             else:
                 return value
 
     def factor(self) -> WeylElement:
+        # unary minus and parentheses recurse: stop well before Python's own limit
+        self.depth += 1
+        try:
+            if self.depth > MAX_NESTING:
+                tok = self.peek()
+                raise SizeLimitError(
+                    f"nesting deeper than {MAX_NESTING} at line {tok.line}, column {tok.column}"
+                )
+            return self._factor()
+        finally:
+            self.depth -= 1
+
+    def _factor(self) -> WeylElement:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.take()
@@ -194,12 +275,12 @@ class _Parser:
         if tok.kind == "NAME":
             self.take()
             base = X if tok.text == "X" else Y
-            return power(base, self.exponent())
+            return _power(base, self.exponent())
         if tok.kind == "OP" and tok.text == "(":
             self.take()
             value = self.expr()
             self.expect_op(")")
-            return power(value, self.exponent())
+            return _power(value, self.exponent())
         raise ExprSyntaxError(
             f"expected a rational, X, Y, or parenthesis, got {tok.text or 'end of input'!r}",
             tok.line,
@@ -235,10 +316,18 @@ def _print_order(terms) -> list:
     return sorted(terms, key=lambda m: (-(m[0] + m[1]), -m[0]))
 
 
+def _number_text(c: Fraction) -> str:
+    """str(c), with a coefficient too long to print as a size-limit error."""
+    try:
+        return str(c)
+    except ValueError:  # beyond Python's integer-string limit
+        raise SizeLimitError("a coefficient of the result is too long to print") from None
+
+
 def _term_body(i: int, j: int, c: Fraction) -> str:
     parts = []
     if c != 1 or (i == 0 and j == 0):
-        parts.append(str(c))
+        parts.append(_number_text(c))
     if i:
         parts.append("X" if i == 1 else f"X^{i}")
     if j:
@@ -271,7 +360,7 @@ def format_xy_polynomial(f: XYPolynomial) -> str:
             continue
         parts = []
         if abs(c) != 1 or m == 0:
-            parts.append(str(abs(c)))
+            parts.append(_number_text(abs(c)))
         if m:
             parts.append("Z" if m == 1 else f"Z^{m}")
         body = "*".join(parts)
@@ -299,7 +388,7 @@ def format_graded_form(g: GradedForm) -> str:
 
 
 def _coeff_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
+    return f"{_number_text(c.numerator)}/{_number_text(c.denominator)}"
 
 
 def element_to_json(a: WeylElement) -> dict[str, Any]:
@@ -369,17 +458,19 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    print(format_element(mul(parse_element(args.a), parse_element(args.b))))
+    print(format_element(_product(parse_element(args.a), parse_element(args.b))))
     return 0
 
 
 def _cmd_comm(args) -> int:
-    print(format_element(commutator(parse_element(args.a), parse_element(args.b))))
+    a, b = parse_element(args.a), parse_element(args.b)
+    _check_degree(_degree(a) + _degree(b), "commutator")
+    print(format_element(commutator(a, b)))
     return 0
 
 
 def _cmd_pow(args) -> int:
-    print(format_element(power(parse_element(args.a), args.n)))
+    print(format_element(_power(parse_element(args.a), args.n)))
     return 0
 
 
@@ -395,7 +486,7 @@ def _cmd_leading(args) -> int:
     print(f"leading form: {format_element(data.form)}")
     print(f"mirror leading form: {format_element(data.form_mirror)}")
     print(f"leading term: {format_element(data.term)}")
-    print(f"leading coeff: {data.coeff}")
+    print(f"leading coeff: {_number_text(data.coeff)}")
     print(f"monic: {'true' if data.monic else 'false'}")
     return 0
 
@@ -414,6 +505,9 @@ def _cmd_grade(args) -> int:
 
 def _cmd_homog_centralizer(args) -> int:
     p = parse_element(args.expr)
+    r = diag_degree(p) if p else 0
+    if args.j * r > 0:
+        _check_degree(abs(args.j) * total_degree(p) // abs(r), "component")
     component = homogeneous_centralizer_component(p, args.j)
     if component.kind is ComponentKind.EMPTY:
         print(f"component at grade {args.j}: empty")
@@ -428,7 +522,7 @@ def _cmd_homog_centralizer(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
-    basis = centralizer_basis(parse_element(args.expr), args.max_total_degree)
+    basis = centralizer_basis(parse_element(args.expr), _bound(args.max_total_degree))
     if args.json:
         print(json.dumps(basis_to_json(basis), indent=2))
         return 0
@@ -449,7 +543,7 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    basis = centralizer_basis(parse_element(args.basis_of), args.max_total_degree)
+    basis = centralizer_basis(parse_element(args.basis_of), _bound(args.max_total_degree))
     element = parse_element(args.expr)
     parts = decompose(element, basis)
     print(f"degree: {ray_degree(element, basis) if element else 0}")
@@ -463,13 +557,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_check_dixmier(args) -> int:
     from .derivation import check_dixmier_pair
 
+    bound = _bound(args.max_total_degree)
     p = parse_element(args.p)
     q = parse_element(args.q)
     if not is_dixmier_pair(p, q):
         print("dixmier pair: false")
         return 1
     pair = dixmier_pair(p, q)
-    report = check_dixmier_pair(pair, args.max_total_degree)
+    report = check_dixmier_pair(pair, bound)
     print("dixmier pair: true")
     print(f"centralizer dimension: {report.centralizer_dim}")
     print(f"powers dimension: {report.powers_dim}")
@@ -501,7 +596,14 @@ def _parse_script(text: str) -> list[ElementaryAutomorphism]:
 
 
 def _cmd_gen_pair(args) -> int:
-    pair = dixmier_pair_from_script(_parse_script(args.script))
+    script = _parse_script(args.script)
+    # each step multiplies the total degree by at most the degree of its polynomial
+    degree = 1
+    for step in script:
+        if step.poly:
+            degree *= max(1, total_degree(step.poly))
+            _check_degree(degree, "script image")
+    pair = dixmier_pair_from_script(script)
     print(f"P = {format_element(pair.p)}")
     print(f"Q = {format_element(pair.q)}")
     return 0
@@ -600,7 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 for a usage error
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except InternalInconsistencyError as exc:

@@ -191,7 +191,7 @@ def no_partner_check(p: WeylElement, bound: int) -> bool:
     keyfn = _order_key("x")
     columns = _monomials_upto(bound, keyfn)
     # [q, p] = 1 reads as [p, q] = -1 in the assembled rows
-    rows, ncols = _ad_matrix_rows(p, columns, keyfn, rhs=-ONE)
+    rows, ncols, _ = _ad_matrix_rows(p, columns, keyfn, rhs=-ONE)
     return not sparse_solvable(rows, ncols)
 
 

@@ -25,6 +25,10 @@ class BoundError(WeylError, ValueError):
     """The requested total-degree bound is too small for the computation."""
 
 
+class SizeLimitError(WeylError, ValueError):
+    """An input or result exceeds a documented size limit of the command line."""
+
+
 class BoundEscapeError(WeylError, RuntimeError):
     """A derived element left the total-degree bound of the computed span.
 

@@ -4,7 +4,16 @@ Sparse rows are {column index: integer coefficient} maps.  Forward
 elimination keeps entries integral by cross-multiplication and divides each
 combined row by its content (gcd), so no rounding ever occurs.  Pivots are
 chosen deterministically: smallest column index first, then smallest row
-index among the rows still unused.
+index among the rows still unused, so a column is free exactly when it
+depends on the columns before it.
+
+`sparse_kernel` solves two small systems: the constraints on the ray
+parameters left over by the centralizer descent (one column per ray
+level), and the homogeneous commutation equation (one column per
+coefficient of the unknown polynomial).  `sparse_solvable` eliminates the
+whole inhomogeneous system of `no_partner_check`, whose element lies in
+k[XY] and so has no dominant sector to descend along.  `dense_kernel`
+takes the kernel of a derivation on a computed basis.
 """
 
 from __future__ import annotations

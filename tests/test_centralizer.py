@@ -1,7 +1,12 @@
+import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import weylalg.centralizer
 from weylalg import (
     BoundError,
     CentralizerBasis,
@@ -21,6 +26,8 @@ from weylalg import (
     commutator,
     decompose,
     diag_degree,
+    diag_degree_mirror,
+    dixmier_pair_from_script,
     expand_in_basis,
     from_graded_form,
     from_terms,
@@ -37,12 +44,17 @@ from weylalg import (
     to_graded_form,
     total_degree,
 )
+from weylalg.cli import _parse_script, basis_to_json, parse_element
 from weylalg.linalg import sparse_kernel
+
+from conftest import _coeffs, weyl_elements
 
 X2Y = from_terms([(2, 1, 1)])
 X3Y = from_terms([(3, 1, 1)])
 XY2 = from_terms([(1, 2, 1)])
 XY = mul(X, Y)
+# Dixmier's L = (Y^2 + X^3 + 1)^2 + 2X, a period-2 centralizer
+DIXMIER_L = power(power(Y, 2) + power(X, 3) + 1, 2) + 2 * X
 
 
 def brute_force_component(p, grade: int, degree_cap: int) -> list:
@@ -206,12 +218,17 @@ class TestCentralizerBasis:
             centralizer_basis(power(X, 3), 2)
 
     def test_equal_bases_hash_alike(self):
-        # Dixmier's L = (Y^2 + X^3 + 1)^2 + 2X, a period-2 centralizer
-        dixmier_l = power(power(Y, 2) + power(X, 3) + 1, 2) + 2 * X
-        first, second = centralizer_basis(dixmier_l, 9), centralizer_basis(dixmier_l, 9)
+        first, second = centralizer_basis(DIXMIER_L, 9), centralizer_basis(DIXMIER_L, 9)
         assert first == second
         assert hash(first) == hash(second)
         assert (first.levels, first.period) == ((0, 6, 9), 2)
+
+    def test_dixmier_l_at_bound_sixty(self):
+        # about 10 s with the whole-matrix elimination; well under 1 s with the descent
+        basis = centralizer_basis(DIXMIER_L, 60)
+        assert basis.levels == (0, 6, 9) + tuple(range(12, 61, 3))
+        assert (basis.level_gcd, basis.period) == (3, 2)
+        assert not basis.truncated
 
     def test_agreement_with_homogeneous_solver(self):
         for p in [X2Y, X3Y, power(X, 3)]:
@@ -232,6 +249,76 @@ class TestCentralizerBasis:
                     if component.kind is ComponentKind.LINE:
                         gen = from_graded_form(component.generator)
                         assert total_degree(gen) > bound
+
+
+def full_elimination(rows, targets, columns, lead, direction):
+    """The kernel by sparse elimination of the whole ad matrix.
+
+    Stands in for the ray descent, with its signature, so centralizer_basis
+    runs the earlier path: sparse_kernel over the assembled rows, then
+    _rref_by_leading.
+    """
+    return [
+        {columns[idx]: v for idx, v in vec.items()}
+        for vec in sparse_kernel(rows, len(columns))
+    ]
+
+
+def assert_same_as_full_elimination(p, bound):
+    descent = json.dumps(basis_to_json(centralizer_basis(p, bound)))
+    with mock.patch.object(weylalg.centralizer, "_ray_descent", full_elimination):
+        reference = json.dumps(basis_to_json(centralizer_basis(p, bound)))
+    assert descent == reference
+
+
+@st.composite
+def sector_elements(draw, sector):
+    """Elements of one sector: a term above the main diagonal on that side.
+
+    In the x sector the other terms are arbitrary; in the y sector they keep
+    X^i Y^j with i <= j, so the element is not x-dominant.
+    """
+    a, r = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    rest = draw(weyl_elements(max_exp=3, max_terms=3))
+    c = draw(_coeffs)
+    if sector == "x":
+        return rest + from_terms([(a + r, a, c)])
+    rest = from_terms([(i, j, v) for (i, j), v in rest.terms.items() if i <= j])
+    return rest + from_terms([(a, a + r, c)])
+
+
+class TestDescentAgainstFullElimination:
+    @settings(max_examples=60, deadline=None)
+    @given(sector_elements("x"), st.integers(0, 5))
+    def test_x_dominant(self, p, extra):
+        assume(diag_degree(p) > 0)
+        assert_same_as_full_elimination(p, total_degree(p) + extra)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sector_elements("y"), st.integers(0, 5))
+    def test_y_dominant(self, p, extra):
+        assume(diag_degree(p) <= 0 < diag_degree_mirror(p))
+        assert centralizer_basis(p, total_degree(p)).sector == "y"
+        assert_same_as_full_elimination(p, total_degree(p) + extra)
+
+    @pytest.mark.parametrize(
+        "script, bound",
+        [
+            ("addY:Y^3", 12),
+            ("addY:Y^2; addX:X^2", 12),
+            ("fourier; addY:Y^3; addX:X^3", 9),
+            ("fourier; addX:X^2; addY:Y^2", 12),
+            ("addY:Y^2; addX:X^3", 18),
+        ],
+    )
+    def test_script_pairs(self, script, bound):
+        assert_same_as_full_elimination(dixmier_pair_from_script(_parse_script(script)).p, bound)
+
+    @pytest.mark.parametrize(
+        "text", ["(Y^2 + X^3 + 1)^2 + 2*X", "(X^2 + Y^3 + 1)^2 + 2*Y", "X + (Y + X^2)^3"]
+    )
+    def test_dixmier_examples(self, text):
+        assert_same_as_full_elimination(parse_element(text), 18)
 
 
 class TestRayDegree:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylalg import (
     ExprSyntaxError,
@@ -16,6 +19,11 @@ from weylalg import (
     power,
 )
 from weylalg.cli import (
+    MAX_BOUND,
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_NESTING,
     element_to_json,
     format_element,
     format_graded_form,
@@ -311,6 +319,123 @@ class TestExitCodes:
         code, _, err = run_cli(["normalize", "X^\u00b2"], capsys)
         assert code == 2
         assert "syntax error" in err
+
+
+def _nested(depth: int) -> str:
+    return "(" * (depth - 1) + "X" + ")" * (depth - 1)
+
+
+class TestSizeLimits:
+    """Each cap at its edge: the largest allowed size runs, one more exits 2."""
+
+    @pytest.mark.parametrize(
+        "allowed, refused",
+        [
+            (["normalize", f"(1)^{MAX_EXPONENT}"], ["normalize", f"(1)^{MAX_EXPONENT + 1}"]),
+            (["pow", "1", str(MAX_EXPONENT)], ["pow", "1", str(MAX_EXPONENT + 1)]),
+            (["pow", "X+Y", str(MAX_DEGREE)], ["pow", "X+Y", "100000"]),
+            (["normalize", f"X^{MAX_DEGREE}"], ["normalize", f"X^{MAX_DEGREE + 1}"]),
+            (["normalize", f"(X*Y)^{MAX_DEGREE // 2}"], ["normalize", f"(X*Y)^{MAX_DEGREE // 2}*X"]),
+            (["mul", "X^50", "Y^50"], ["mul", "X^50", "Y^51"]),
+            (["comm", "X^50", "Y^50"], ["comm", "X^50", "Y^51"]),
+            (["pow", "X", str(MAX_DEGREE)], ["pow", "X", str(MAX_DEGREE + 1)]),
+            (["normalize", _nested(MAX_NESTING)], ["normalize", _nested(MAX_NESTING + 1)]),
+            (
+                ["centralizer", "X", "--max-total-degree", str(MAX_BOUND)],
+                ["centralizer", "X", "--max-total-degree", str(MAX_BOUND + 1)],
+            ),
+            (
+                ["homog-centralizer", "X^2", "--j", str(MAX_DEGREE)],
+                ["homog-centralizer", "X^2", "--j", str(MAX_DEGREE + 1)],
+            ),
+            (
+                ["gen-pair", "--script", "addY:Y^10; addX:X^10"],
+                ["gen-pair", "--script", "addY:Y^10; addX:X^11"],
+            ),
+        ],
+    )
+    def test_edge(self, capsys, allowed, refused):
+        code, _, _ = run_cli(allowed, capsys)
+        assert code == 0
+        code, _, err = run_cli(refused, capsys)
+        assert code == 2
+        assert "exceeds the limit" in err or "nesting deeper" in err
+
+    def test_coefficient_bits(self, capsys):
+        # 2^(MAX_COEFF_BITS - 1) has exactly MAX_COEFF_BITS bits
+        hundreds, rest = divmod(MAX_COEFF_BITS - 1, 100)
+        code, _, _ = run_cli(["normalize", f"((2)^100)^{hundreds}*(2)^{rest}"], capsys)
+        assert code == 0
+        code, _, err = run_cli(["normalize", f"((2)^100)^{hundreds}*(2)^{rest + 1}"], capsys)
+        assert code == 2
+        assert f"limit of {MAX_COEFF_BITS} bits" in err
+
+    def test_unprintable_result_is_two(self, capsys):
+        big = "((10)^999)^4"
+        code, _, err = run_cli(["comm", f"{big}*X", f"{big}*Y"], capsys)
+        assert code == 2
+        assert "too long to print" in err
+
+    def test_huge_numeric_option_is_two(self, capsys):
+        code, _, _ = run_cli(["pow", "X", "9" * 5000], capsys)
+        assert code == 2
+        code, _, _ = run_cli(["homog-centralizer", "X^2", "--j", "9" * 30], capsys)
+        assert code == 2
+
+
+_VALID_EXPR = st.recursive(
+    st.sampled_from(["X", "Y", "0", "1", "2", "3/2"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        st.tuples(inner, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda e: f"-({e})"),
+    ),
+    max_leaves=6,
+)
+_EXPR = st.one_of(
+    _VALID_EXPR, st.text(alphabet="XY0123456789+-*/^() ", max_size=16), st.text(max_size=8)
+)
+_INT = st.one_of(
+    st.integers(-3, 30).map(str), st.integers(MAX_BOUND + 1, 10**30).map(str), st.text(max_size=5)
+)
+_SCRIPT = st.one_of(st.text(alphabet="addXY:^0123456789;fourier ", max_size=24), st.text(max_size=8))
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with arbitrary text in every argument."""
+    command = draw(
+        st.sampled_from(
+            ["normalize", "mul", "comm", "pow", "leading", "grade", "homog-centralizer",
+             "centralizer", "decompose", "check-dixmier", "gen-pair", "oracle-check", "other"]
+        )
+    )
+    flag = lambda name: [name] if draw(st.booleans()) else []
+    if command in ("normalize", "leading", "grade"):
+        return [command, draw(_EXPR)] + (flag("--json") if command != "grade" else [])
+    if command in ("mul", "comm", "oracle-check"):
+        return [command, draw(_EXPR), draw(_EXPR)] + (flag("--mul") if command == "oracle-check" else [])
+    if command == "pow":
+        return [command, draw(_EXPR), draw(_INT)]
+    if command == "homog-centralizer":
+        return [command, draw(_EXPR), "--j", draw(_INT)]
+    if command == "centralizer":
+        return [command, draw(_EXPR), "--max-total-degree", draw(_INT)] + flag("--json")
+    if command == "decompose":
+        return [command, draw(_EXPR), "--basis-of", draw(_EXPR), "--max-total-degree", draw(_INT)]
+    if command == "check-dixmier":
+        return [command, draw(_EXPR), draw(_EXPR), "--max-total-degree", draw(_INT)]
+    if command == "gen-pair":
+        return [command, "--script", draw(_SCRIPT)]
+    return draw(st.lists(st.text(max_size=8), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_main_exit_code_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_roundtrip_on_seeded_sample():
