@@ -21,6 +21,7 @@ from .core import (
     power,
     scalar_mul,
     total_degree,
+    transpose,
 )
 from .errors import (
     BoundError,

@@ -5,23 +5,30 @@ functional equation between shifted polynomials in XY, solved exactly on
 integer rows; the solution space in each homogeneity degree has dimension
 at most one.
 
-For a general element P of positive diagonal degree (or mirror degree), the
-general solver finds the kernel of Q -> [P, Q] on all monomials of total
-degree at most D by a descent in the diagonal-major order (diagonal first,
-then the X exponent; the Y exponent in the mirror sector).  With (i0, j0)
-the leading weight of P, the top term of [P, X^a Y^b] sits at
-(a + i0 - 1, b + j0 - 1) with coefficient c0 (j0 a - i0 b), which vanishes
-exactly on the primitive ray.  So, from the highest target down, each row
-of the commutator matrix either solves one new off-ray monomial from those
-already solved, or constrains the coefficients at the ray points, which are
-the parameters.  The small constraint system, parameters by ascending
-level, has the leading ray levels as its free columns, and its kernel
-vectors give the basis in reduced echelon form under the same order: every
-vector is monic with a distinct leading term on the ray, and the basis is
-unique for the given bound.
+For a general element P of positive diagonal degree, the general solver
+finds the kernel of Q -> [P, Q] on all monomials of total degree at most D
+by a descent in the diagonal-major order (diagonal first, then the X
+exponent).  With (i0, j0) the leading weight of P, the top term of
+[P, X^a Y^b] sits at (a + i0 - 1, b + j0 - 1) with coefficient
+c0 (j0 a - i0 b), which vanishes exactly on the primitive ray.  So, from
+the highest target down, each row of the commutator matrix either solves
+one new off-ray monomial from those already solved, or constrains the
+coefficients at the ray points, which are the parameters.  The small
+constraint system, parameters by ascending level, has the leading ray
+levels as its free columns, and its kernel vectors give the basis in
+reduced echelon form under the same order: every vector is monic with a
+distinct leading term on the ray, and the basis is unique for the given
+bound.
 
-Everything returned is re-verified to commute with P by actual
-multiplication; the linear algebra is never trusted on its own.
+There is one sector.  The transpose X^i Y^j -> X^j Y^i (`core.transpose`)
+is an anti-automorphism, so C(P) = transpose(C(transpose(P))), and it maps
+the mirror order (j - i first, then the Y exponent) onto the plain one.  A
+P of positive mirror degree is therefore solved as transpose(P), and its
+basis is the transposed basis with the direction swapped; the homogeneous
+solver uses the same identity on f(XY) Y^g.
+
+Everything returned is re-verified to commute with the caller's P by
+actual multiplication; the linear algebra is never trusted on its own.
 
 All results are exact relative to the bound D: the structure constants
 (level set, its gcd, the period, the canonical picks) describe the
@@ -34,11 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
-from typing import Iterable, Literal
+from types import MappingProxyType
+from typing import Iterable, Literal, Mapping
 
-from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree
+from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
 from .core import _factors, _integer_terms
 from .errors import (
     BoundError,
@@ -52,12 +60,10 @@ from .graded import GradedForm, XYPolynomial, from_graded_form, is_homogeneous, 
 from .leading import (
     Weight,
     diag_degree,
-    diag_degree_mirror,
+    in_xy_subalgebra,
     is_x_dominant,
     leading_weight,
-    leading_weight_mirror,
     primitive_direction,
-    primitive_direction_mirror,
 )
 from .linalg import sparse_kernel
 
@@ -133,26 +139,19 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
         if grade == 0:
             return CentralizerComponent(ComponentKind.XY_POLYNOMIALS)
         return CentralizerComponent(ComponentKind.EMPTY)
-    if r > 0:
-        if grade < 0:
-            return CentralizerComponent(ComponentKind.EMPTY)
-        if grade == 0:
-            return CentralizerComponent(ComponentKind.LINE, GradedForm(0, XYPolynomial([1])))
-        f = to_graded_form(p).poly
-        num = f.degree * grade
-        if num % r:
-            return CentralizerComponent(ComponentKind.EMPTY)
-        g = _functional_line(f, step_g=r, step_f=grade, deg=num // r)
-    else:
-        if grade > 0:
-            return CentralizerComponent(ComponentKind.EMPTY)
-        if grade == 0:
-            return CentralizerComponent(ComponentKind.LINE, GradedForm(0, XYPolynomial([1])))
-        f = to_graded_form(p).poly
-        num = f.degree * (-grade)
-        if num % (-r):
-            return CentralizerComponent(ComponentKind.EMPTY)
-        g = _functional_line(f, step_g=-r, step_f=-grade, deg=num // (-r))
+    # transpose(f(XY) Y^g) = X^g f(XY): for r < 0 the component at `grade` is
+    # the one of transpose(p), of diagonal degree -r and the same f, at -grade
+    step = grade if r > 0 else -grade
+    r = abs(r)
+    if step < 0:
+        return CentralizerComponent(ComponentKind.EMPTY)
+    if step == 0:
+        return CentralizerComponent(ComponentKind.LINE, GradedForm(0, XYPolynomial([1])))
+    f = to_graded_form(p).poly
+    num = f.degree * step
+    if num % r:
+        return CentralizerComponent(ComponentKind.EMPTY)
+    g = _functional_line(f, step_g=r, step_f=step, deg=num // r)
     if g is None:
         return CentralizerComponent(ComponentKind.EMPTY)
     form = GradedForm(grade, g)
@@ -167,14 +166,15 @@ class CentralizerBasis:
 
     Basis vectors are indexed by their level l on the primitive ray:
     the leading term of by_level[l] is the monomial direction * l, monic.
-    `levels` lists them ascending, `level_gcd` is the gcd of the nonzero
-    levels, and `period` is the least nonzero normalized degree.  `picks`
-    holds, per residue class of the normalized degree modulo the period,
-    the basis element of least degree in that class (None when the class is
-    not reached within the bound, which also sets `truncated`).
+    `levels` lists them ascending.  Everything else is derived from these
+    two and cached: `level_gcd` is the gcd of the nonzero levels, `period`
+    the least nonzero normalized degree, and `picks` holds, per residue
+    class of the normalized degree modulo the period, the basis element of
+    least degree in that class (None when the class is not reached within
+    the bound, which also sets `truncated`).
 
-    The basis is hashable: the two dict fields are left out of the hash,
-    since `element` and `bound` determine them.
+    `by_level` is stored read-only.  It is left out of the hash, since
+    `element` and `bound` determine it, so the basis is hashable.
     """
 
     element: WeylElement
@@ -182,13 +182,41 @@ class CentralizerBasis:
     sector: Sector
     direction: Weight
     levels: tuple[int, ...]
-    level_gcd: int
-    period: int
-    by_level: dict[int, WeylElement] = field(hash=False)
-    ray_degrees: dict[int, int] = field(hash=False)
-    picks: tuple[WeylElement | None, ...]
-    pick_levels: tuple[int | None, ...]
-    truncated: bool
+    by_level: Mapping[int, WeylElement] = field(hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "by_level", MappingProxyType(dict(self.by_level)))
+
+    @cached_property
+    def level_gcd(self) -> int:
+        return gcd(*self.levels) or 1
+
+    @cached_property
+    def period(self) -> int:
+        return min((l for l in self.levels if l), default=self.level_gcd) // self.level_gcd
+
+    @cached_property
+    def ray_degrees(self) -> Mapping[int, int]:
+        return MappingProxyType({l: l // self.level_gcd for l in self.levels})
+
+    @cached_property
+    def pick_levels(self) -> tuple[int | None, ...]:
+        """The least level in each residue class; empty without a nonzero level."""
+        if not any(self.levels):
+            return ()
+        d, n = self.level_gcd, self.period
+        return tuple(
+            min((l for l in self.levels if l and l // d % n == r), default=None)
+            for r in range(n)
+        )
+
+    @cached_property
+    def picks(self) -> tuple[WeylElement | None, ...]:
+        return tuple(None if l is None else self.by_level[l] for l in self.pick_levels)
+
+    @cached_property
+    def truncated(self) -> bool:
+        return not self.pick_levels or None in self.pick_levels
 
     @property
     def dimension(self) -> int:
@@ -201,28 +229,26 @@ class CentralizerBasis:
         return [self.by_level[l] for l in self.levels]
 
 
-def _order_key(sector: Sector):
-    if sector == "x":
-        return lambda m: (m[0] - m[1], m[0])
-    return lambda m: (m[1] - m[0], m[1])
+def _order_key(m: Monomial) -> tuple[int, int]:
+    # diagonal-major: the diagonal i - j first, then the X exponent
+    return (m[0] - m[1], m[0])
 
 
-def _monomials_upto(bound: int, keyfn) -> list[Monomial]:
+def _monomials_upto(bound: int) -> list[Monomial]:
     monos = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
-    monos.sort(key=keyfn, reverse=True)
+    monos.sort(key=_order_key, reverse=True)
     return monos
 
 
 def _ad_matrix_rows(
     p: WeylElement,
     columns: list[Monomial],
-    keyfn,
     rhs: WeylElement | None = None,
 ) -> tuple[list[dict[int, int]], int, list[Monomial]]:
     """Sparse rows of Q -> [P, Q] on the given column monomials, scaled to integers.
 
     Returns the rows, the number of columns and the target monomial of each
-    row; rows are sorted by their target, keyfn descending.  With `rhs`
+    row; rows are sorted by their target, highest in the order first.  With `rhs`
     given, its entries are appended at column index len(columns) so the rows
     encode the inhomogeneous system [P, Q] = rhs.  Each entry uses the
     commutator rule of `core`: only the lowering terms i >= 1.
@@ -249,7 +275,7 @@ def _ad_matrix_rows(
         _, rhs_terms = _integer_terms(rhs)
         for i, j, c in rhs_terms:
             by_target.setdefault((i, j), {})[ncols] = c
-    ordered = sorted(by_target, key=keyfn, reverse=True)
+    ordered = sorted(by_target, key=_order_key, reverse=True)
     return [by_target[m] for m in ordered], ncols, ordered
 
 
@@ -331,8 +357,12 @@ def _subtract_multiple(target: dict[Monomial, Fraction], ratio: Fraction, row: d
             target.pop(m, None)
 
 
-def _rref_by_leading(vectors: list[dict[Monomial, Fraction]], keyfn) -> list[dict[Monomial, Fraction]]:
-    """Reduced echelon form of a list of element vectors, leading terms by keyfn."""
+def _rref_by_leading(vectors: list[dict[Monomial, Fraction]]) -> list[dict[Monomial, Fraction]]:
+    """Reduced echelon form of a list of element vectors, leading terms by the order.
+
+    Not on the solve path, where the descent's vectors are already reduced;
+    the tests use it to reduce the kernel of the whole ad matrix.
+    """
     by_lead: dict[Monomial, dict[Monomial, Fraction]] = {}
     for vec in vectors:
         cur = dict(vec)
@@ -344,7 +374,7 @@ def _rref_by_leading(vectors: list[dict[Monomial, Fraction]], keyfn) -> list[dic
                 _subtract_multiple(cur, ratio, prow)
         if not cur:
             continue
-        lead = max(cur, key=keyfn)
+        lead = max(cur, key=_order_key)
         lc = cur[lead]
         cur = {m: v / lc for m, v in cur.items()}
         for prow in by_lead.values():
@@ -352,12 +382,12 @@ def _rref_by_leading(vectors: list[dict[Monomial, Fraction]], keyfn) -> list[dic
             if ratio:
                 _subtract_multiple(prow, ratio, cur)
         by_lead[lead] = cur
-    return [by_lead[lead] for lead in sorted(by_lead, key=keyfn, reverse=True)]
+    return [by_lead[lead] for lead in sorted(by_lead, key=_order_key, reverse=True)]
 
 
 def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     """All elements commuting with p of total degree at most `bound`."""
-    if not p or (diag_degree(p) <= 0 and diag_degree_mirror(p) <= 0):
+    if in_xy_subalgebra(p):
         raise WrongSectorError(
             "element has no dominant generator: its centralizer is k[XY] "
             "(or the whole algebra for a scalar)"
@@ -366,75 +396,39 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
         raise BoundError(
             f"bound {bound} is below the total degree {total_degree(p)} of the element"
         )
-    if is_x_dominant(p):
-        sector: Sector = "x"
-        lead = leading_weight(p)
-        direction, _ = primitive_direction(p)
-    else:
-        sector = "y"
-        lead = leading_weight_mirror(p)
-        direction, _ = primitive_direction_mirror(p)
-    keyfn = _order_key(sector)
-    columns = _monomials_upto(bound, keyfn)
-    rows, _, targets = _ad_matrix_rows(p, columns, keyfn)
-    # the descent already yields the reduced echelon form, so _rref_by_leading
-    # only orders it by leading term, in one sweep
-    reduced = _rref_by_leading(_ray_descent(rows, targets, columns, lead, direction), keyfn)
+    # C(p) = transpose(C(transpose(p))), and transpose maps the mirror order
+    # onto the plain one, so a y-dominant p is solved in the x sector
+    sector: Sector = "x" if is_x_dominant(p) else "y"
+    q = p if sector == "x" else transpose(p)
+    direction, _ = primitive_direction(q)
+    columns = _monomials_upto(bound)
+    rows, _, targets = _ad_matrix_rows(q, columns)
 
     di, dj = direction
     by_level: dict[int, WeylElement] = {}
-    for row in reduced:
-        lead = max(row, key=keyfn)
+    for vec in _ray_descent(rows, targets, columns, leading_weight(q), direction):
+        lead = max(vec, key=_order_key)
         level = lead[0] // di if di else lead[1] // dj
-        if lead != (level * di, level * dj) or level in by_level:
+        if lead != (level * di, level * dj) or vec[lead] != 1 or level in by_level:
             raise InternalInconsistencyError(
-                "kernel vector leading term is off the primitive ray"
+                "kernel vector is not monic with its own leading term on the primitive ray"
             )
-        by_level[level] = WeylElement._raw(row)
-    if 0 not in by_level or by_level[0] != ONE:
+        by_level[level] = WeylElement._raw(vec)
+    if by_level.get(0) != ONE:
         raise InternalInconsistencyError("the constants are missing from the kernel")
+    if sector == "y":
+        by_level = {l: transpose(e) for l, e in by_level.items()}
+        direction = (dj, di)
     for elem in by_level.values():
         if commutator(p, elem):
             raise InternalInconsistencyError("kernel vector does not commute exactly")
-
-    levels = tuple(sorted(by_level))
-    positive = [l for l in levels if l]
-    if not positive:
-        d, period = 1, 1
-        picks: tuple[WeylElement | None, ...] = ()
-        pick_levels: tuple[int | None, ...] = ()
-        truncated = True
-    else:
-        d = reduce(gcd, positive)
-        period = min(positive) // d
-        ray_of = {l: l // d for l in positive}
-        chosen: list[WeylElement | None] = []
-        chosen_levels: list[int | None] = []
-        for residue in range(period):
-            cands = [l for l in positive if ray_of[l] % period == residue]
-            if cands:
-                best = min(cands)
-                chosen.append(by_level[best])
-                chosen_levels.append(best)
-            else:
-                chosen.append(None)
-                chosen_levels.append(None)
-        picks = tuple(chosen)
-        pick_levels = tuple(chosen_levels)
-        truncated = any(s is None for s in picks)
     return CentralizerBasis(
         element=p,
         bound=bound,
         sector=sector,
         direction=direction,
-        levels=levels,
-        level_gcd=d,
-        period=period,
+        levels=tuple(sorted(by_level)),
         by_level=by_level,
-        ray_degrees={l: l // d for l in levels},
-        picks=picks,
-        pick_levels=pick_levels,
-        truncated=truncated,
     )
 
 

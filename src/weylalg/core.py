@@ -27,6 +27,10 @@ the coefficients, so
 
 with f the lowering factor; the i = 0 terms, which cancel, are never formed.
 
+`transpose` swaps the two exponents of every term.  It is the
+anti-automorphism that exchanges X and Y, and the rest of the package uses
+it to reduce every statement about Y-heavy elements to the X-heavy case.
+
 Elements are immutable and hashable, so values can be shared freely.
 """
 
@@ -237,6 +241,15 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                     key = (x - i, y - i)
                     sums[key] = get(key, 0) + c * w
     return _over(sums, da * db)
+
+
+def transpose(a: WeylElement) -> WeylElement:
+    """The anti-automorphism X^i Y^j -> X^j Y^i, which swaps X and Y.
+
+    It reverses products, transpose(a*b) = transpose(b)*transpose(a), and
+    maps Y*X - X*Y to itself, so it respects the defining relation.
+    """
+    return WeylElement._raw({(j, i): c for (i, j), c in a._terms.items()})
 
 
 def power(a: WeylElement, n: int) -> WeylElement:

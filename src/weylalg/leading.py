@@ -6,9 +6,12 @@ nonzero element the diagonal degree is the largest diagonal met by its
 support, the leading form collects the terms on that diagonal, and the
 leading weight is the exponent pair of the highest-X term among them.
 
-Every quantity has a mirror version obtained by exchanging the roles of X
-and Y in the definitions (largest j - i, highest Y exponent).  Mirror
-results are reported in plain (x exponent, y exponent) coordinates.
+Every quantity has a mirror version, with the roles of X and Y exchanged
+(largest j - i, highest Y exponent).  Each one is the plain quantity of the
+transposed element (`core.transpose`, X^i Y^j -> X^j Y^i), mapped back:
+elements by `transpose` again, weights and directions by swapping their two
+entries.  Mirror results are therefore in plain (x exponent, y exponent)
+coordinates.
 
 All operations reject the zero element, for which none of this is defined.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import Monomial, WeylElement
+from .core import Monomial, WeylElement, transpose
 from .errors import UndefinedOnZeroError, WrongSectorError
 
 Weight = tuple[int, int]
@@ -43,8 +46,7 @@ def diag_degree(p: WeylElement) -> int:
 
 def diag_degree_mirror(p: WeylElement) -> int:
     """max(j - i) over the support."""
-    _require_nonzero(p, "mirror diagonal degree")
-    return max(j - i for i, j in p.terms)
+    return diag_degree(transpose(p))
 
 
 def leading_form(p: WeylElement) -> WeylElement:
@@ -54,8 +56,7 @@ def leading_form(p: WeylElement) -> WeylElement:
 
 
 def leading_form_mirror(p: WeylElement) -> WeylElement:
-    d = diag_degree_mirror(p)
-    return WeylElement._raw({m: c for m, c in p.terms.items() if m[1] - m[0] == d})
+    return transpose(leading_form(transpose(p)))
 
 
 def leading_weight(p: WeylElement) -> Weight:
@@ -66,8 +67,8 @@ def leading_weight(p: WeylElement) -> Weight:
 
 def leading_weight_mirror(p: WeylElement) -> Weight:
     """Exponent pair of the highest-Y term on the mirror leading diagonal."""
-    d = diag_degree_mirror(p)
-    return max((m for m in p.terms if m[1] - m[0] == d), key=lambda m: m[1])
+    i, j = leading_weight(transpose(p))
+    return (j, i)
 
 
 def leading_term(p: WeylElement) -> WeylElement:
@@ -77,8 +78,7 @@ def leading_term(p: WeylElement) -> WeylElement:
 
 
 def leading_term_mirror(p: WeylElement) -> WeylElement:
-    w = leading_weight_mirror(p)
-    return WeylElement._raw({w: p.terms[w]})
+    return transpose(leading_term(transpose(p)))
 
 
 def leading_coeff(p: WeylElement) -> Fraction:
@@ -86,7 +86,7 @@ def leading_coeff(p: WeylElement) -> Fraction:
 
 
 def leading_coeff_mirror(p: WeylElement) -> Fraction:
-    return p.terms[leading_weight_mirror(p)]
+    return leading_coeff(transpose(p))
 
 
 def is_monic(p: WeylElement) -> bool:
@@ -111,6 +111,14 @@ def is_y_dominant(p: WeylElement) -> bool:
     return diag_degree_mirror(p) > 0
 
 
+def in_xy_subalgebra(p: WeylElement) -> bool:
+    """True when p lies in k[XY]: every term is X^i Y^i (true for 0).
+
+    These are exactly the elements that are neither x- nor y-dominant.
+    """
+    return all(i == j for i, j in p.terms)
+
+
 def primitive_direction(p: WeylElement) -> tuple[Weight, int]:
     """Write the leading weight as r * (i, j) with gcd(i, j) = 1 and r > 0.
 
@@ -127,9 +135,8 @@ def primitive_direction_mirror(p: WeylElement) -> tuple[Weight, int]:
     """Mirror version, defined on y-dominant elements."""
     if not is_y_dominant(p):
         raise WrongSectorError("mirror primitive direction requires a y-dominant element")
-    i0, j0 = leading_weight_mirror(p)
-    r = gcd(i0, j0)
-    return (i0 // r, j0 // r), r
+    (i, j), r = primitive_direction(transpose(p))
+    return (j, i), r
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,27 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, by one elimination.
 
-Sparse rows are {column index: integer coefficient} maps.  Forward
-elimination keeps entries integral by cross-multiplication and divides each
-combined row by its content (gcd), so no rounding ever occurs.  Pivots are
-chosen deterministically: smallest column index first, then smallest row
-index among the rows still unused, so a column is free exactly when it
-depends on the columns before it.
+Sparse rows are {column index: integer coefficient} maps.  `_eliminate`
+is the only elimination: forward elimination that keeps entries integral
+by cross-multiplication and divides each combined row by its content
+(gcd), so no rounding ever occurs.  Pivots are chosen deterministically:
+smallest column index first, then smallest row index among the rows still
+unused, so a column is free exactly when it depends on the columns before
+it.
 
-`sparse_kernel` solves two small systems: the constraints on the ray
-parameters left over by the centralizer descent (one column per ray
-level), and the homogeneous commutation equation (one column per
-coefficient of the unknown polynomial).  `sparse_solvable` eliminates the
-whole inhomogeneous system of `no_partner_check`, whose element lies in
-k[XY] and so has no dominant sector to descend along.  `dense_kernel`
-takes the kernel of a derivation on a computed basis.
+`sparse_kernel` back-substitutes after it.  It solves the constraints on
+the ray parameters left over by the centralizer descent (one column per
+ray level), and the homogeneous commutation equation (one column per
+coefficient of the unknown polynomial).  `sparse_solvable` checks the
+consistency of the inhomogeneous system of `no_partner_check`, which keeps
+only the unknowns on diagonal 0.  `dense_kernel` takes the kernel of a
+derivation on a computed basis: it scales each rational row to integers
+and calls `sparse_kernel`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 SparseRow = dict[int, int]
 
@@ -111,34 +113,16 @@ def sparse_solvable(rows: list[SparseRow], ncols: int) -> bool:
 
 
 def dense_kernel(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Nullspace basis of a dense rational matrix (list of rows)."""
+    """Nullspace basis of a dense rational matrix (list of rows).
+
+    Each row is scaled to integers and the kernel is the one of
+    `sparse_kernel`, written out densely.
+    """
     if not matrix:
         return []
-    nrows = len(matrix)
     ncols = len(matrix[0])
-    m = [list(row) for row in matrix]
-    pivot_row_of: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_row_of[c] = r
-        r += 1
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_row_of:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for c, pr in pivot_row_of.items():
-            vec[c] = -m[pr][free]
-        kernel.append(vec)
-    return kernel
+    rows = []
+    for row in matrix:
+        den = lcm(*(v.denominator for v in row))
+        rows.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(row) if v})
+    return [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in sparse_kernel(rows, ncols)]

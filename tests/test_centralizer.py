@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -44,6 +45,7 @@ from weylalg import (
     to_graded_form,
     total_degree,
 )
+from weylalg.centralizer import _rref_by_leading
 from weylalg.cli import _parse_script, basis_to_json, parse_element
 from weylalg.linalg import sparse_kernel
 
@@ -57,21 +59,10 @@ XY = mul(X, Y)
 DIXMIER_L = power(power(Y, 2) + power(X, 3) + 1, 2) + 2 * X
 
 
-def brute_force_component(p, grade: int, degree_cap: int) -> list:
-    """Kernel of [p, -] on the monomial basis of one homogeneity degree.
-
-    Independent of the functional-equation solver: it spans the candidate
-    space with monomials X^(m+grade) Y^m (or X^m Y^(m-grade)) up to the
-    polynomial degree cap and row-reduces the exact commutator matrix.
-    """
+def commutator_kernel(p, candidates: list) -> list:
+    """Kernel of [p, -] on the span of the candidates, by the exact commutator."""
     from math import lcm
 
-    candidates = []
-    for m in range(degree_cap + 1):
-        if grade >= 0:
-            candidates.append(from_terms([(m + grade, m, 1)]))
-        else:
-            candidates.append(from_terms([(m, m - grade, 1)]))
     images = [commutator(p, c) for c in candidates]
     targets = sorted({t for image in images for t in image.terms})
     rows = []
@@ -87,6 +78,22 @@ def brute_force_component(p, grade: int, degree_cap: int) -> list:
             elem = elem + v * candidates[ci]
         out.append(elem)
     return out
+
+
+def brute_force_component(p, grade: int, degree_cap: int) -> list:
+    """Kernel of [p, -] on the monomial basis of one homogeneity degree.
+
+    Independent of the functional-equation solver: it spans the candidate
+    space with monomials X^(m+grade) Y^m (or X^m Y^(m-grade)) up to the
+    polynomial degree cap and row-reduces the exact commutator matrix.
+    """
+    candidates = []
+    for m in range(degree_cap + 1):
+        if grade >= 0:
+            candidates.append(from_terms([(m + grade, m, 1)]))
+        else:
+            candidates.append(from_terms([(m, m - grade, 1)]))
+    return commutator_kernel(p, candidates)
 
 
 class TestHomogeneousComponent:
@@ -255,13 +262,12 @@ def full_elimination(rows, targets, columns, lead, direction):
     """The kernel by sparse elimination of the whole ad matrix.
 
     Stands in for the ray descent, with its signature, so centralizer_basis
-    runs the earlier path: sparse_kernel over the assembled rows, then
-    _rref_by_leading.
+    runs the earlier path: sparse_kernel over the assembled rows, reduced
+    by _rref_by_leading.
     """
-    return [
-        {columns[idx]: v for idx, v in vec.items()}
-        for vec in sparse_kernel(rows, len(columns))
-    ]
+    return _rref_by_leading(
+        [{columns[idx]: v for idx, v in vec.items()} for vec in sparse_kernel(rows, len(columns))]
+    )
 
 
 def assert_same_as_full_elimination(p, bound):
@@ -285,6 +291,68 @@ def sector_elements(draw, sector):
         return rest + from_terms([(a + r, a, c)])
     rest = from_terms([(i, j, v) for (i, j), v in rest.terms.items() if i <= j])
     return rest + from_terms([(a, a + r, c)])
+
+
+def mirror_reference(p, bound: int) -> CentralizerBasis:
+    """The y-sector basis of p, computed without transposing anything.
+
+    The kernel of the exact commutator over every monomial up to the bound,
+    brought to reduced echelon form in the mirror order (j - i first, then
+    the Y exponent); the direction is read off the leading terms.
+    """
+    monomials = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
+    kernel = commutator_kernel(p, [from_terms([(a, b, 1)]) for a, b in monomials])
+
+    def mirror_key(m):
+        return (m[1] - m[0], m[1])
+
+    by_lead = {}
+    for elem in kernel:
+        for lead, prow in by_lead.items():
+            elem = elem - elem.coefficient(*lead) * prow
+        if not elem:
+            continue
+        lead = max(elem.terms, key=mirror_key)
+        elem = (1 / elem.terms[lead]) * elem
+        by_lead = {m: prow - prow.coefficient(*lead) * elem for m, prow in by_lead.items()}
+        by_lead[lead] = elem
+    i, j = max(by_lead, key=mirror_key)
+    g = gcd(i, j)
+    direction = (i // g, j // g)
+    by_level = {}
+    for lead, elem in by_lead.items():
+        level = lead[1] // direction[1]
+        assert lead == (level * direction[0], level * direction[1])
+        by_level[level] = elem
+    return CentralizerBasis(
+        element=p,
+        bound=bound,
+        sector="y",
+        direction=direction,
+        levels=tuple(sorted(by_level)),
+        by_level=by_level,
+    )
+
+
+class TestYSectorAgainstMirrorReference:
+    """The solver reaches the y sector through the transpose; this reference does not."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sector_elements("y"), st.integers(0, 3))
+    def test_y_dominant(self, p, extra):
+        assume(diag_degree(p) <= 0 < diag_degree_mirror(p))
+        bound = total_degree(p) + extra
+        solved = centralizer_basis(p, bound)
+        assert solved.sector == "y"
+        assert json.dumps(basis_to_json(solved)) == json.dumps(
+            basis_to_json(mirror_reference(p, bound))
+        )
+
+    def test_homogeneous_y(self):
+        p = parse_element("X^2*Y^4 + X*Y^3 + 2*Y^2")
+        assert json.dumps(basis_to_json(centralizer_basis(p, 18))) == json.dumps(
+            basis_to_json(mirror_reference(p, 18))
+        )
 
 
 class TestDescentAgainstFullElimination:
@@ -393,17 +461,18 @@ def synthetic_two_class_basis(bound: int = 7) -> CentralizerBasis:
         sector="x",
         direction=(1, 0),
         levels=tuple(levels),
-        level_gcd=1,
-        period=2,
         by_level=by_level,
-        ray_degrees={l: l for l in levels},
-        picks=(power(X, 2), power(X, 3)),
-        pick_levels=(2, 3),
-        truncated=False,
     )
 
 
 class TestDecomposeSyntheticPeriodTwo:
+    def test_structure_is_derived_from_the_levels(self):
+        basis = synthetic_two_class_basis()
+        assert (basis.level_gcd, basis.period, basis.pick_levels) == (1, 2, (2, 3))
+        assert basis.picks == (power(X, 2), power(X, 3))
+        assert basis.ray_degrees == {l: l for l in basis.levels}
+        assert not basis.truncated
+
     def test_even_power(self):
         basis = synthetic_two_class_basis()
         parts = decompose(power(X, 6), basis)
@@ -470,13 +539,7 @@ class TestMonomialAlgebraEmbedding:
             sector="x",
             direction=(1, 1),
             levels=levels,
-            level_gcd=1,
-            period=1,
             by_level=by_level,
-            ray_degrees={l: l for l in levels},
-            picks=(XY,),
-            pick_levels=(1,),
-            truncated=False,
         )
         assert is_monomial_algebra_embedding(basis)
 

@@ -18,6 +18,7 @@ from weylalg import (
     power,
     scalar_mul,
     total_degree,
+    transpose,
 )
 from weylalg.oracle import act, max_y_exponent, oracle_mul_check, x_power
 
@@ -192,6 +193,14 @@ def test_jacobi_identity(a, b, c):
         commutator(c, commutator(a, b)),
     )
     assert total == ZERO
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_elements(), weyl_elements())
+def test_transpose_is_an_involutive_anti_automorphism(a, b):
+    assert transpose(transpose(a)) == a
+    assert transpose(mul(a, b)) == mul(transpose(b), transpose(a))
+    assert (transpose(X), transpose(Y)) == (Y, X)
 
 
 @settings(max_examples=60, deadline=None)

@@ -110,13 +110,7 @@ class TestDerivationReport:
             sector="x",
             direction=(1, 0),
             levels=(0,),
-            level_gcd=1,
-            period=1,
             by_level={0: ONE},
-            ray_degrees={0: 0},
-            picks=(),
-            pick_levels=(),
-            truncated=True,
         )
         report = derivation_report(pair, basis)
         assert report.degenerate
@@ -132,13 +126,7 @@ class TestDerivationReport:
             sector="x",
             direction=(1, 0),
             levels=(0, 3),
-            level_gcd=3,
-            period=1,
             by_level={0: ONE, 3: power(X, 3)},
-            ray_degrees={0: 0, 3: 1},
-            picks=(power(X, 3),),
-            pick_levels=(3,),
-            truncated=False,
         )
         with pytest.raises(BoundEscapeError):
             derivation_report(pair, basis)
@@ -151,13 +139,7 @@ class TestDerivationReport:
             sector="x",
             direction=(1, 0),
             levels=(0, 3),
-            level_gcd=3,
-            period=1,
             by_level={0: ONE, 3: power(X, 3)},
-            ray_degrees={0: 0, 3: 1},
-            picks=(power(X, 3),),
-            pick_levels=(3,),
-            truncated=False,
         )
         with pytest.raises(InternalInconsistencyError):
             derivation_report(pair, basis)
