@@ -56,9 +56,11 @@ from .leading import (
     leading_term_mirror,
     leading_weight,
     leading_weight_mirror,
+    newton_edges,
     primitive_direction,
     primitive_direction_mirror,
     support,
+    weighted_degree,
 )
 from .graded import (
     GradedForm,

@@ -6,14 +6,27 @@ integer rows; the solution space in each homogeneity degree has dimension
 at most one.
 
 For a general element P of positive diagonal degree, the general solver
-finds the kernel of Q -> [P, Q] on all monomials of total degree at most D
-by a descent in the diagonal-major order (diagonal first, then the X
-exponent).  With (i0, j0) the leading weight of P, the top term of
-[P, X^a Y^b] sits at (a + i0 - 1, b + j0 - 1) with coefficient
+finds the kernel of Q -> [P, Q] on the monomials of total degree at most D
+that lie in (D / deg P) N(P), where N(P) is the Newton polygon, the convex
+hull of the support of P and the origin.  That region is complete by
+Dixmier's theorem (Dixmier 1968, used throughout by Guccione, Guccione and
+Valqui): for commuting P and Q and every weight (rho, sigma) with
+rho + sigma >= 0, the (rho, sigma)-leading forms satisfy
+l(P)^a ~ l(Q)^b.  So an element of C(P) at ray level l has total degree
+(l / l_P) deg P and its support inside (l / l_P) N(P), l_P being the
+level of P; since N(P) holds the origin, these polygons grow with l, and
+all of them up to the bound lie in (D / deg P) N(P).  The region is the
+set of monomials with deg(P) (rho a + sigma b) <= D h for every edge of
+`leading.newton_edges`, so it is cut with integers only.
+
+The kernel is found by a descent in the diagonal-major order (diagonal
+first, then the X exponent).  With (i0, j0) the leading weight of P, the
+top term of [P, X^a Y^b] sits at (a + i0 - 1, b + j0 - 1) with coefficient
 c0 (j0 a - i0 b), which vanishes exactly on the primitive ray.  So, from
 the highest target down, each row of the commutator matrix either solves
 one new off-ray monomial from those already solved, or constrains the
-coefficients at the ray points, which are the parameters.  The small
+coefficients at the ray points, which are the parameters; a row whose
+monomial lies outside the region is a constraint too.  The small
 constraint system, parameters by ascending level, has the leading ray
 levels as its free columns, and its kernel vectors give the basis in
 reduced echelon form under the same order: every vector is monic with a
@@ -29,6 +42,8 @@ solver uses the same identity on f(XY) Y^g.
 
 Everything returned is re-verified to commute with the caller's P by
 actual multiplication; the linear algebra is never trusted on its own.
+Completeness, that nothing outside the region is missed, rests on the
+theorem above.
 
 All results are exact relative to the bound D: the structure constants
 (level set, its gcd, the period, the canonical picks) describe the
@@ -63,6 +78,7 @@ from .leading import (
     in_xy_subalgebra,
     is_x_dominant,
     leading_weight,
+    newton_edges,
     primitive_direction,
 )
 from .linalg import sparse_kernel
@@ -240,18 +256,25 @@ def _monomials_upto(bound: int) -> list[Monomial]:
     return monos
 
 
+def _newton_columns(p: WeylElement, bound: int) -> list[Monomial]:
+    """The monomials of `_monomials_upto(bound)` inside (bound / deg p) N(p)."""
+    deg = total_degree(p)
+    edges = newton_edges(p)
+    return [
+        (a, b)
+        for a, b in _monomials_upto(bound)
+        if all(deg * (rho * a + sigma * b) <= bound * h for (rho, sigma), h in edges)
+    ]
+
+
 def _ad_matrix_rows(
-    p: WeylElement,
-    columns: list[Monomial],
-    rhs: WeylElement | None = None,
+    p: WeylElement, columns: list[Monomial]
 ) -> tuple[list[dict[int, int]], int, list[Monomial]]:
     """Sparse rows of Q -> [P, Q] on the given column monomials, scaled to integers.
 
     Returns the rows, the number of columns and the target monomial of each
-    row; rows are sorted by their target, highest in the order first.  With `rhs`
-    given, its entries are appended at column index len(columns) so the rows
-    encode the inhomogeneous system [P, Q] = rhs.  Each entry uses the
-    commutator rule of `core`: only the lowering terms i >= 1.
+    row; rows are sorted by their target, highest in the order first.  Each
+    entry uses the commutator rule of `core`: only the lowering terms i >= 1.
     """
     _, p_terms = _integer_terms(p)
     ncols = len(columns)
@@ -271,10 +294,6 @@ def _ad_matrix_rows(
                     row[idx] = s
                 else:
                     del row[idx]
-    if rhs is not None:
-        _, rhs_terms = _integer_terms(rhs)
-        for i, j, c in rhs_terms:
-            by_target.setdefault((i, j), {})[ncols] = c
     ordered = sorted(by_target, key=_order_key, reverse=True)
     return [by_target[m] for m in ordered], ncols, ordered
 
@@ -401,7 +420,7 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     sector: Sector = "x" if is_x_dominant(p) else "y"
     q = p if sector == "x" else transpose(p)
     direction, _ = primitive_direction(q)
-    columns = _monomials_upto(bound)
+    columns = _newton_columns(q, bound)
     rows, _, targets = _ad_matrix_rows(q, columns)
 
     di, dj = direction

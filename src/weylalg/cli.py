@@ -32,9 +32,12 @@ Size limits; past one, SizeLimitError (exit 2):
 - nesting of parentheses and unary minus: MAX_NESTING;
 - `--max-total-degree`: MAX_BOUND.
 
-At the caps, `pow "X+Y+1" 100` takes 1.0 s, and the centralizer of
-Dixmier's L at bound 100 takes 2.0 s and 36 MB (one core, CPython 3.11);
-the solver's cost also grows with the number of terms of P.
+At the caps, `pow "X+Y+1" 100` takes 1.3 s, and the centralizer of
+Dixmier's L at bound 100 takes 2.4 s and 34 MB, that of X + (Y + X^2)^3
+2.6 s and 31 MB (process time and peak RSS of the whole CLI call, one core
+of a shared 2-vCPU virtual machine, CPython 3.11); the solver's cost also
+grows with the number of terms of P and with the share of the triangle
+that its Newton polygon covers.
 
 Exit codes: 0 success, 1 when the computation reports false or empty,
 2 for usage, syntax, or contract errors, 3 for an internal inconsistency

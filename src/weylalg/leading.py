@@ -1,10 +1,17 @@
-"""Leading-form calculus along the diagonal grading.
+"""Leading-form calculus along the diagonal grading, and Newton polygons.
 
 A monomial X^i Y^j sits on diagonal i - j; this grades the algebra, since
 the normal-ordering corrections lower both exponents together.  For a
 nonzero element the diagonal degree is the largest diagonal met by its
 support, the leading form collects the terms on that diagonal, and the
 leading weight is the exponent pair of the highest-X term among them.
+
+The diagonal degree is the case (1, -1) of the (rho, sigma)-weighted
+degree, the largest rho i + sigma j over the support.  The Newton polygon
+N(p) is the convex hull of the support and the origin; `newton_edges`
+lists the outward normals of its edges that have rho + sigma >= 0, the
+weights along which the leading forms of commuting elements are
+proportional powers of each other (Dixmier).
 
 Every quantity has a mirror version, with the roles of X and Y exchanged
 (largest j - i, highest Y exponent).  Each one is the plain quantity of the
@@ -38,10 +45,16 @@ def support(p: WeylElement) -> frozenset[Monomial]:
     return p.support()
 
 
+def weighted_degree(p: WeylElement, weight: Weight) -> int:
+    """max(rho i + sigma j) over the support, for the weight (rho, sigma)."""
+    _require_nonzero(p, "weighted degree")
+    rho, sigma = weight
+    return max(rho * i + sigma * j for i, j in p.terms)
+
+
 def diag_degree(p: WeylElement) -> int:
-    """max(i - j) over the support."""
-    _require_nonzero(p, "diagonal degree")
-    return max(i - j for i, j in p.terms)
+    """max(i - j) over the support: the weighted degree for (1, -1)."""
+    return weighted_degree(p, (1, -1))
 
 
 def diag_degree_mirror(p: WeylElement) -> int:
@@ -117,6 +130,50 @@ def in_xy_subalgebra(p: WeylElement) -> bool:
     These are exactly the elements that are neither x- nor y-dominant.
     """
     return all(i == j for i, j in p.terms)
+
+
+def _convex_hull(points: set[Monomial]) -> list[Monomial]:
+    """Vertices of the hull, counterclockwise, without collinear points.
+
+    A segment gives its two ends, and a single point itself.
+    """
+    pts = sorted(points)
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq: list[Monomial]) -> list[Monomial]:
+        out: list[Monomial] = []
+        for c in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0:
+                    break
+                out.pop()
+            out.append(c)
+        return out
+
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def newton_edges(p: WeylElement) -> list[tuple[Weight, int]]:
+    """Edges of the Newton polygon N(p) facing rho + sigma >= 0, with support values.
+
+    Each pair is a primitive outward normal (rho, sigma) of an edge of the
+    hull of the support and the origin, with h the largest rho i + sigma j
+    on N(p).  A hull that is a segment has one edge on each side.  The
+    diagonal normals (1, -1) and (-1, 1) are always included, edge or not.
+    Sorted by normal.
+    """
+    _require_nonzero(p, "Newton polygon")
+    hull = _convex_hull(set(p.terms) | {(0, 0)})
+    normals = {(1, -1), (-1, 1)}
+    if len(hull) > 1:
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+            g = gcd(x1 - x0, y1 - y0)
+            rho, sigma = (y1 - y0) // g, (x0 - x1) // g
+            if rho + sigma >= 0:
+                normals.add((rho, sigma))
+    return sorted((w, max(weighted_degree(p, w), 0)) for w in normals)
 
 
 def primitive_direction(p: WeylElement) -> tuple[Weight, int]:

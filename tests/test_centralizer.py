@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -17,6 +18,7 @@ from weylalg import (
     MembershipError,
     NotHomogeneousError,
     ONE,
+    ScriptLimits,
     WrongSectorError,
     X,
     XYPolynomial,
@@ -40,13 +42,16 @@ from weylalg import (
     monoid_up_to,
     mul,
     power,
+    random_script,
     ray_degree,
     recompose,
     to_graded_form,
     total_degree,
+    transpose,
 )
-from weylalg.centralizer import _rref_by_leading
+from weylalg.centralizer import _monomials_upto, _rref_by_leading
 from weylalg.cli import _parse_script, basis_to_json, parse_element
+from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
 
 from conftest import _coeffs, weyl_elements
@@ -270,9 +275,16 @@ def full_elimination(rows, targets, columns, lead, direction):
     )
 
 
+def full_triangle(p, bound):
+    """Every monomial up to the bound, in place of the Newton-polygon region."""
+    return _monomials_upto(bound)
+
+
 def assert_same_as_full_elimination(p, bound):
+    """The solver against the earlier path: no polygon cut and no descent."""
     descent = json.dumps(basis_to_json(centralizer_basis(p, bound)))
-    with mock.patch.object(weylalg.centralizer, "_ray_descent", full_elimination):
+    with mock.patch.object(weylalg.centralizer, "_ray_descent", full_elimination), \
+            mock.patch.object(weylalg.centralizer, "_newton_columns", full_triangle):
         reference = json.dumps(basis_to_json(centralizer_basis(p, bound)))
     assert descent == reference
 
@@ -389,6 +401,53 @@ class TestDescentAgainstFullElimination:
         assert_same_as_full_elimination(parse_element(text), 18)
 
 
+@st.composite
+def dixmier_family(draw):
+    """(Y^2 + X^3 + c)^2 + a X; c = 1, a = 2 is Dixmier's L, of period 2."""
+    c, a = draw(st.sampled_from([(1, 2), (Fraction(1, 2), 2), (1, Fraction(-3, 4)), (0, 1)]))
+    return power(power(Y, 2) + power(X, 3) + c, 2) + a * X
+
+
+@st.composite
+def monomial_leading_forms(draw):
+    """A single term on the top diagonal of either sector, and lower terms below it."""
+    a, r = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    rest = draw(weyl_elements(max_exp=3, max_terms=3))
+    rest = from_terms([(i, j, v) for (i, j), v in rest.terms.items() if i - j < r])
+    p = rest + from_terms([(a + r, a, draw(_coeffs))])
+    return p if draw(st.booleans()) else transpose(p)
+
+
+@st.composite
+def script_pairs(draw):
+    """First or second element of a random automorphism-script pair."""
+    limits = ScriptLimits(max_len=3, max_poly_degree=2, coeff_bound=2, max_total_degree=8)
+    pair = dixmier_pair_from_script(random_script(random.Random(draw(st.integers(0, 10**6))), limits))
+    return pair.p if draw(st.booleans()) else pair.q
+
+
+class TestPolygonAgainstFullTriangle:
+    """The region cut rests on a theorem; here it is checked against no cut at all."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            sector_elements("x"),
+            sector_elements("y"),
+            dixmier_family(),
+            monomial_leading_forms(),
+            script_pairs(),
+        ),
+        st.integers(0, 6),
+    )
+    def test_same_basis(self, p, extra):
+        assume(not in_xy_subalgebra(p))
+        assert_same_as_full_elimination(p, total_degree(p) + extra)
+
+    def test_dixmier_l_period_two(self):
+        assert_same_as_full_elimination(DIXMIER_L, 27)
+
+
 class TestRayDegree:
     def test_constant(self):
         basis = centralizer_basis(power(X, 2), 6)
@@ -446,49 +505,50 @@ class TestDecompose:
             decompose(Y, basis)
 
 
-def synthetic_two_class_basis(bound: int = 7) -> CentralizerBasis:
-    """A base-and-picks structure with period 2 built from powers of X.
-
-    Levels follow the numerical monoid generated by 2 and 3, so residue
-    class 1 first appears at level 3; all members commute pairwise since
-    they are powers of a single element.
-    """
-    levels = [0] + [l for l in range(2, bound + 1)]
-    by_level = {l: power(X, l) for l in levels}
-    return CentralizerBasis(
-        element=power(X, 2),
-        bound=bound,
-        sector="x",
-        direction=(1, 0),
-        levels=tuple(levels),
-        by_level=by_level,
-    )
-
-
 class TestDecomposeSyntheticPeriodTwo:
+    """Period two on real structure: Dixmier's L, whose basis at bound 9 is 1, L - 1, S.
+
+    The picks are S0 = L - 1 at level 6 (the basis is reduced, so it has
+    no constant term) and S at level 9, the pick of the odd residue class;
+    the levels follow the monoid generated by 6 and 9.
+    """
+
     def test_structure_is_derived_from_the_levels(self):
-        basis = synthetic_two_class_basis()
-        assert (basis.level_gcd, basis.period, basis.pick_levels) == (1, 2, (2, 3))
-        assert basis.picks == (power(X, 2), power(X, 3))
-        assert basis.ray_degrees == {l: l for l in basis.levels}
+        basis = centralizer_basis(DIXMIER_L, 9)
+        assert basis.levels == (0, 6, 9)
+        assert (basis.level_gcd, basis.period, basis.pick_levels) == (3, 2, (6, 9))
+        assert basis.picks == (DIXMIER_L - 1, basis.by_level[9])
+        assert basis.ray_degrees == {0: 0, 6: 2, 9: 3}
         assert not basis.truncated
 
     def test_even_power(self):
-        basis = synthetic_two_class_basis()
-        parts = decompose(power(X, 6), basis)
-        assert parts == [Z ** 3, XYPolynomial()]
+        basis = centralizer_basis(DIXMIER_L, 9)
+        parts = decompose(DIXMIER_L - 5, basis)
+        assert parts == [Z - 4, XYPolynomial()]
 
     def test_odd_power(self):
-        basis = synthetic_two_class_basis()
-        parts = decompose(power(X, 7), basis)
-        assert parts == [XYPolynomial(), Z ** 2]
+        basis = centralizer_basis(DIXMIER_L, 9)
+        parts = decompose(basis.picks[1], basis)
+        assert parts == [XYPolynomial(), XYPolynomial([1])]
 
     def test_mixture(self):
-        basis = synthetic_two_class_basis()
-        element = power(X, 7) - 4 * power(X, 4) + power(X, 3) + Fraction(1, 3)
+        basis = centralizer_basis(DIXMIER_L, 9)
+        s0, s = basis.picks
+        element = s - 4 * s0 + Fraction(1, 3)
         parts = decompose(element, basis)
         assert recompose(parts, basis) == element
-        assert parts == [XYPolynomial([Fraction(1, 3), 0, -4]), Z ** 2 + 1]
+        assert parts == [XYPolynomial([Fraction(1, 3), -4]), XYPolynomial([1])]
+
+    def test_higher_products(self):
+        # S0^3 and S0 S reach levels 18 and 15, so the basis needs bound 18
+        basis = centralizer_basis(DIXMIER_L, 18)
+        s0, s = basis.picks
+        assert decompose(power(s0, 3), basis) == [Z ** 3, XYPolynomial()]
+        assert decompose(mul(s0, s), basis) == [XYPolynomial(), Z]
+        element = mul(s0, s) - 2 * power(s0, 2) + s
+        parts = decompose(element, basis)
+        assert recompose(parts, basis) == element
+        assert parts == [XYPolynomial([0, 0, -2]), Z + 1]
 
 
 class TestMonoidClasses:

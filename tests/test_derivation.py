@@ -41,10 +41,30 @@ from weylalg import (
     total_degree,
 )
 
+from weylalg.centralizer import _ad_matrix_rows, _monomials_upto
+from weylalg.linalg import sparse_solvable
+
 from conftest import weyl_elements
 
 XY = mul(X, Y)
 P_SHIFTED = X + power(Y, 2)
+
+
+def partner_free_by_elimination(p, bound: int) -> bool:
+    """No q of total degree <= bound has [q, p] = 1, decided by linear algebra.
+
+    The ad matrix of p over every monomial up to the bound, with the
+    right-hand side -1 of [p, q] = -1 appended as column ncols, goes
+    through `sparse_solvable`; `_ad_matrix_rows` scales p by the lcm of its
+    denominators, which leaves solvability unchanged.
+    """
+    rows, ncols, targets = _ad_matrix_rows(p, _monomials_upto(bound))
+    rows = [dict(r) for r in rows]
+    if (0, 0) in targets:
+        rows[targets.index((0, 0))][ncols] = -1
+    else:
+        rows.append({ncols: -1})
+    return not sparse_solvable(rows, ncols)
 
 
 class TestIsDixmierPair:
@@ -128,7 +148,8 @@ class TestDerivationReport:
             levels=(0, 3),
             by_level={0: ONE, 3: power(X, 3)},
         )
-        with pytest.raises(BoundEscapeError):
+        # the image [Y, X^3] = 3 X^2 has total degree 2, the basis bound is 1
+        with pytest.raises(BoundEscapeError, match=r"total degree 2, above the basis bound 1;"):
             derivation_report(pair, basis)
 
     def test_image_outside_span_is_inconsistent(self):
@@ -195,6 +216,19 @@ class TestNoPartner:
     def test_rejects_off_diagonal(self):
         with pytest.raises(WrongSectorError):
             no_partner_check(X, 4)
+
+    @pytest.mark.parametrize(
+        "p",
+        [ONE, XY, power(XY, 2), power(XY, 3) + 2 * XY + 5, Fraction(2, 3) * power(XY, 2) - Fraction(1, 7)],
+    )
+    @pytest.mark.parametrize("bound", [0, 1, 7, 40])
+    def test_agrees_with_elimination(self, p, bound):
+        assert no_partner_check(p, bound) == partner_free_by_elimination(p, bound)
+
+    def test_elimination_reference_finds_partners(self):
+        # [Y, X] = 1 and [Y + X^2, X + (Y + X^2)^2] = 1: the reference can say no
+        assert not partner_free_by_elimination(X, 1)
+        assert not partner_free_by_elimination(X + power(Y + power(X, 2), 2), 4)
 
 
 class TestElementaryAutomorphisms:

@@ -1,15 +1,20 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import weylalg.centralizer
 from weylalg import (
+    ONE,
     UndefinedOnZeroError,
     WrongSectorError,
     X,
     Y,
     ZERO,
     aligned,
+    centralizer_basis,
     commutator,
     diag_degree,
     diag_degree_mirror,
@@ -26,16 +31,24 @@ from weylalg import (
     leading_weight,
     leading_weight_mirror,
     mul,
+    newton_edges,
     power,
     primitive_direction,
     primitive_direction_mirror,
     support,
+    total_degree,
+    weighted_degree,
 )
+from weylalg.cli import _parse_script
+from weylalg.derivation import dixmier_pair_from_script
 
 from conftest import swap_exponents, weyl_elements
 
 X2Y = from_terms([(2, 1, 1)])
 TWO_DIAG = from_terms([(4, 2, 1), (3, 1, 2)])
+# Dixmier's L = (Y^2 + X^3 + 1)^2 + 2X and the automorphism image P6 of X
+DIXMIER_L = power(power(Y, 2) + power(X, 3) + 1, 2) + 2 * X
+P6 = X + power(Y + power(X, 2), 3)
 
 
 class TestDiagDegree:
@@ -219,3 +232,99 @@ def test_nonpositive_both_ways_means_diagonal(p):
     if diag_degree(p) <= 0 and diag_degree_mirror(p) <= 0:
         assert diag_degree(p) == 0 and diag_degree_mirror(p) == 0
         assert all(i == j for i, j in p.terms)
+
+
+class TestWeightedDegree:
+    def test_diagonal_is_the_one_minus_one_case(self):
+        assert weighted_degree(TWO_DIAG, (1, -1)) == diag_degree(TWO_DIAG) == 2
+
+    def test_other_weights(self):
+        assert weighted_degree(TWO_DIAG, (1, 1)) == 6
+        assert weighted_degree(DIXMIER_L, (2, 3)) == 12
+        assert weighted_degree(DIXMIER_L, (-1, 0)) == 0
+
+    def test_zero_rejected(self):
+        with pytest.raises(UndefinedOnZeroError):
+            weighted_degree(ZERO, (1, 1))
+
+
+class TestNewtonEdges:
+    def test_dixmier_l(self):
+        # hull (0, 0), (6, 0), (0, 4); X^3 Y^2 lies on the edge from X^6 to Y^4,
+        # and the edges along the axes face rho + sigma < 0
+        assert newton_edges(DIXMIER_L) == [((-1, 1), 4), ((1, -1), 6), ((2, 3), 12)]
+
+    def test_p6(self):
+        # hull (0, 0), (6, 0), (0, 3)
+        assert newton_edges(P6) == [((-1, 1), 3), ((1, -1), 6), ((1, 2), 6)]
+
+    def test_segment(self):
+        # the hull of (1, 0) and the origin has the normals (0, 1) and (0, -1);
+        # only the first has rho + sigma >= 0
+        assert newton_edges(X) == [((-1, 1), 0), ((0, 1), 0), ((1, -1), 1)]
+        assert newton_edges(power(X, 3) + X) == [((-1, 1), 0), ((0, 1), 0), ((1, -1), 3)]
+        # on the diagonal both normals of the segment are the diagonal ones
+        assert newton_edges(mul(X, Y) + 1) == [((-1, 1), 0), ((1, -1), 0)]
+
+    def test_edge_facing_the_mirror_side(self):
+        # hull (0, 0), (5, 1), (1, 3), (0, 2): the edge from XY^3 to Y^2 is (-1, 1)
+        p = from_terms([(0, 2, 1), (1, 3, 1), (5, 1, 1)])
+        assert newton_edges(p) == [((-1, 1), 2), ((1, -1), 4), ((1, 2), 7)]
+
+    def test_scalar(self):
+        assert newton_edges(2 * ONE) == [((-1, 1), 0), ((1, -1), 0)]
+
+    def test_zero_rejected(self):
+        with pytest.raises(UndefinedOnZeroError):
+            newton_edges(ZERO)
+
+    @settings(max_examples=80, deadline=None)
+    @given(weyl_elements(nonzero=True))
+    def test_support_values_bound_the_support_and_origin(self, p):
+        for (rho, sigma), h in newton_edges(p):
+            assert rho + sigma >= 0
+            assert h == max([0] + [rho * i + sigma * j for i, j in p.terms])
+
+
+def full_triangle_basis(p, bound):
+    """centralizer_basis over every monomial up to the bound, not just the polygon."""
+    with mock.patch.object(
+        weylalg.centralizer,
+        "_newton_columns",
+        lambda q, b: weylalg.centralizer._monomials_upto(b),
+    ):
+        return centralizer_basis(p, bound)
+
+
+def assert_basis_in_scaled_polygon(p, bound):
+    """Each element at ray level l lies in (l / l_P) N(P) and has degree (l / l_P) deg P."""
+    basis = full_triangle_basis(p, bound)
+    _, level_p = primitive_direction(p)
+    edges = newton_edges(p)
+    for level in basis.levels:
+        element = basis.by_level[level]
+        for weight, h in edges:
+            assert level_p * weighted_degree(element, weight) <= level * h
+        assert level_p * total_degree(element) == level * total_degree(p)
+
+
+class TestCentralizerInsideScaledPolygon:
+    @pytest.mark.parametrize(
+        "p, bound",
+        [
+            (DIXMIER_L, 24),
+            (P6, 24),
+            (X + power(Y, 2), 12),
+            (power(X, 3) + power(Y, 2) + mul(X, Y), 12),
+            (dixmier_pair_from_script(_parse_script("addY:Y^2; addX:X^3")).p, 18),
+            (dixmier_pair_from_script(_parse_script("fourier; addX:X^2; addY:Y^2")).p, 12),
+        ],
+    )
+    def test_named(self, p, bound):
+        assert_basis_in_scaled_polygon(p, bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weyl_elements(max_exp=3, max_terms=4, nonzero=True), st.integers(0, 5))
+    def test_x_dominant(self, p, extra):
+        assume(is_x_dominant(p))
+        assert_basis_in_scaled_polygon(p, total_degree(p) + extra)
