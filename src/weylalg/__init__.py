@@ -26,7 +26,6 @@ from .core import (
 from .errors import (
     BoundError,
     BoundEscapeError,
-    DegenerateMonoidError,
     ExprSyntaxError,
     ImpossiblePairError,
     InternalInconsistencyError,
@@ -43,22 +42,15 @@ from .leading import (
     LeadingData,
     aligned,
     diag_degree,
-    diag_degree_mirror,
     is_monic,
     is_x_dominant,
-    is_y_dominant,
     leading_coeff,
-    leading_coeff_mirror,
     leading_data,
     leading_form,
-    leading_form_mirror,
     leading_term,
-    leading_term_mirror,
     leading_weight,
-    leading_weight_mirror,
     newton_edges,
     primitive_direction,
-    primitive_direction_mirror,
     support,
     weighted_degree,
 )
@@ -76,14 +68,11 @@ from .centralizer import (
     CentralizerBasis,
     CentralizerComponent,
     ComponentKind,
-    MonoidInfo,
     centralizer_basis,
     decompose,
     expand_in_basis,
     homogeneous_centralizer_component,
     is_monomial_algebra_embedding,
-    monoid_classes,
-    monoid_up_to,
     ray_degree,
     recompose,
 )

@@ -56,16 +56,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping
+from typing import Literal, Mapping
 
 from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
 from .core import _factors, _integer_terms
 from .errors import (
     BoundError,
-    DegenerateMonoidError,
     InternalInconsistencyError,
     MembershipError,
     NotHomogeneousError,
@@ -269,15 +268,14 @@ def _newton_columns(p: WeylElement, bound: int) -> list[Monomial]:
 
 def _ad_matrix_rows(
     p: WeylElement, columns: list[Monomial]
-) -> tuple[list[dict[int, int]], int, list[Monomial]]:
+) -> tuple[list[dict[int, int]], list[Monomial]]:
     """Sparse rows of Q -> [P, Q] on the given column monomials, scaled to integers.
 
-    Returns the rows, the number of columns and the target monomial of each
-    row; rows are sorted by their target, highest in the order first.  Each
+    Returns the rows and the target monomial of each row; rows are sorted
+    by their target, highest in the order first.  Each
     entry uses the commutator rule of `core`: only the lowering terms i >= 1.
     """
     _, p_terms = _integer_terms(p)
-    ncols = len(columns)
     by_target: dict[Monomial, dict[int, int]] = {}
     for idx, (a, b) in enumerate(columns):
         for k, j, c in p_terms:
@@ -295,7 +293,7 @@ def _ad_matrix_rows(
                 else:
                     del row[idx]
     ordered = sorted(by_target, key=_order_key, reverse=True)
-    return [by_target[m] for m in ordered], ncols, ordered
+    return [by_target[m] for m in ordered], ordered
 
 
 def _ray_descent(
@@ -421,7 +419,7 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     q = p if sector == "x" else transpose(p)
     direction, _ = primitive_direction(q)
     columns = _newton_columns(q, bound)
-    rows, _, targets = _ad_matrix_rows(q, columns)
+    rows, targets = _ad_matrix_rows(q, columns)
 
     di, dj = direction
     by_level: dict[int, WeylElement] = {}
@@ -549,61 +547,6 @@ def recompose(parts: list[XYPolynomial], basis: CentralizerBasis) -> WeylElement
     for r in range(1, len(parts)):
         out = out + mul(evaluate_at_element(parts[r], s0), basis.picks[r])
     return out
-
-
-@dataclass(frozen=True)
-class MonoidInfo:
-    """Residue-class structure of an additive submonoid of the naturals."""
-
-    min_positive: int
-    gcd: int
-    classes: dict[int, list[int]]
-    complete: bool
-
-
-def monoid_up_to(generators: Iterable[int], bound: int) -> set[int]:
-    """All sums of the generators that do not exceed the bound."""
-    reached = {0}
-    frontier = [0]
-    gens = sorted(set(g for g in generators if g > 0))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = v + g
-                if w <= bound and w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return reached
-
-
-def monoid_classes(values: Iterable[int]) -> MonoidInfo:
-    """Group an enumerated submonoid by residue modulo its least positive value.
-
-    A class with d | r can be empty only because the enumeration stopped too
-    early; that is reported through `complete`.  A nonempty class with a
-    residue not divisible by the gcd is impossible and raises.
-    """
-    vals = sorted(set(values))
-    positive = [v for v in vals if v > 0]
-    if not positive or any(v < 0 for v in vals):
-        raise DegenerateMonoidError("need a set of naturals with some positive member")
-    r0 = positive[0]
-    d = reduce(gcd, positive)
-    classes: dict[int, list[int]] = {r: [] for r in range(r0)}
-    for v in vals:
-        classes[v % r0].append(v)
-    complete = True
-    for r in range(r0):
-        if classes[r]:
-            if r % d:
-                raise InternalInconsistencyError(
-                    "nonempty residue class not divisible by the monoid gcd"
-                )
-        elif r % d == 0:
-            complete = False
-    return MonoidInfo(min_positive=r0, gcd=d, classes=classes, complete=complete)
 
 
 def is_monomial_algebra_embedding(basis: CentralizerBasis) -> bool:

@@ -15,6 +15,10 @@ nonnegative integer literals.  A natural is a string of ASCII digits, at
 most as long as Python's integer-string limit (`sys.get_int_max_str_digits`,
 4300 by default); a longer one is a contract error.
 
+On the command line an expression that starts with '-' must follow '--',
+which ends the options: `weylalg normalize -- -X+Y`.  Otherwise argparse
+reads it as an option and the call is a usage error.
+
 The canonical printer sorts terms by total degree descending, then X
 exponent descending, elides unit coefficients and zero exponents, and
 prints 0 for the zero element; parsing the result reproduces the element.
@@ -62,18 +66,18 @@ from .centralizer import (
     homogeneous_centralizer_component,
     ray_degree,
 )
-from .core import ONE, WeylElement, X, Y, commutator, mul, total_degree
+from .core import ONE, WeylElement, X, Y, commutator, mul, total_degree, transpose
 from .derivation import (
     ElementaryAutomorphism,
     derivation_report,
     dixmier_pair,
     dixmier_pair_from_script,
-    is_dixmier_pair,
 )
 from .errors import (
     ExprSyntaxError,
     InternalInconsistencyError,
     MalformedInputError,
+    NotDixmierPairError,
     SizeLimitError,
     WeylError,
 )
@@ -403,12 +407,13 @@ def element_to_json(a: WeylElement) -> dict[str, Any]:
     }
 
 
-def leading_to_json(data: LeadingData) -> dict[str, Any]:
+def leading_to_json(data: LeadingData, mirror: LeadingData) -> dict[str, Any]:
+    """`mirror` is the leading data of the transposed element."""
     return {
         "diag_degree": data.diag,
-        "diag_degree_mirror": data.diag_mirror,
+        "diag_degree_mirror": mirror.diag,
         "weight": {"i": data.weight[0], "j": data.weight[1]},
-        "weight_mirror": {"i": data.weight_mirror[0], "j": data.weight_mirror[1]},
+        "weight_mirror": {"i": mirror.weight[1], "j": mirror.weight[0]},
         "leading_form": element_to_json(data.form),
         "leading_term": element_to_json(data.term),
         "leading_coeff": _coeff_str(data.coeff),
@@ -478,16 +483,18 @@ def _cmd_pow(args) -> int:
 
 
 def _cmd_leading(args) -> int:
-    data = leading_data(parse_element(args.expr))
+    p = parse_element(args.expr)
+    # the mirror quantities are the plain ones of transpose(p), mapped back
+    data, mirror = leading_data(p), leading_data(transpose(p))
     if args.json:
-        print(json.dumps(leading_to_json(data), indent=2))
+        print(json.dumps(leading_to_json(data, mirror), indent=2))
         return 0
     print(f"diag degree: {data.diag}")
-    print(f"mirror diag degree: {data.diag_mirror}")
+    print(f"mirror diag degree: {mirror.diag}")
     print(f"weight: ({data.weight[0]}, {data.weight[1]})")
-    print(f"mirror weight: ({data.weight_mirror[0]}, {data.weight_mirror[1]})")
+    print(f"mirror weight: ({mirror.weight[1]}, {mirror.weight[0]})")
     print(f"leading form: {format_element(data.form)}")
-    print(f"mirror leading form: {format_element(data.form_mirror)}")
+    print(f"mirror leading form: {format_element(transpose(mirror.form))}")
     print(f"leading term: {format_element(data.term)}")
     print(f"leading coeff: {_number_text(data.coeff)}")
     print(f"monic: {'true' if data.monic else 'false'}")
@@ -563,10 +570,11 @@ def _cmd_check_dixmier(args) -> int:
     bound = _bound(args.max_total_degree)
     p = parse_element(args.p)
     q = parse_element(args.q)
-    if not is_dixmier_pair(p, q):
+    try:
+        pair = dixmier_pair(p, q)
+    except NotDixmierPairError:
         print("dixmier pair: false")
         return 1
-    pair = dixmier_pair(p, q)
     report = check_dixmier_pair(pair, bound)
     print("dixmier pair: true")
     print(f"centralizer dimension: {report.centralizer_dim}")
@@ -634,7 +642,8 @@ def _nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylalg",
-        description="Exact computation in the first Weyl algebra over the rationals.",
+        description="Exact computation in the first Weyl algebra over the rationals.  "
+        "Put '--' before an expression that starts with '-': normalize -- -X+Y.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

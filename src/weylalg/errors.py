@@ -40,10 +40,6 @@ class MembershipError(WeylError, ValueError):
     """The element does not lie in the span it was claimed to belong to."""
 
 
-class DegenerateMonoidError(WeylError, ValueError):
-    """The value set is empty or {0}, so monoid statistics are undefined."""
-
-
 class NotDixmierPairError(WeylError, ValueError):
     """The commutator of the given elements is not 1."""
 

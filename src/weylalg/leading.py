@@ -13,12 +13,8 @@ lists the outward normals of its edges that have rho + sigma >= 0, the
 weights along which the leading forms of commuting elements are
 proportional powers of each other (Dixmier).
 
-Every quantity has a mirror version, with the roles of X and Y exchanged
-(largest j - i, highest Y exponent).  Each one is the plain quantity of the
-transposed element (`core.transpose`, X^i Y^j -> X^j Y^i), mapped back:
-elements by `transpose` again, weights and directions by swapping their two
-entries.  Mirror results are therefore in plain (x exponent, y exponent)
-coordinates.
+The mirror quantities, with the roles of X and Y exchanged, are the plain
+ones of `core.transpose(p)`.
 
 All operations reject the zero element, for which none of this is defined.
 """
@@ -29,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import Monomial, WeylElement, transpose
+from .core import Monomial, WeylElement
 from .errors import UndefinedOnZeroError, WrongSectorError
 
 Weight = tuple[int, int]
@@ -57,19 +53,10 @@ def diag_degree(p: WeylElement) -> int:
     return weighted_degree(p, (1, -1))
 
 
-def diag_degree_mirror(p: WeylElement) -> int:
-    """max(j - i) over the support."""
-    return diag_degree(transpose(p))
-
-
 def leading_form(p: WeylElement) -> WeylElement:
     """Sum of the terms on the highest diagonal."""
     d = diag_degree(p)
     return WeylElement._raw({m: c for m, c in p.terms.items() if m[0] - m[1] == d})
-
-
-def leading_form_mirror(p: WeylElement) -> WeylElement:
-    return transpose(leading_form(transpose(p)))
 
 
 def leading_weight(p: WeylElement) -> Weight:
@@ -78,28 +65,14 @@ def leading_weight(p: WeylElement) -> Weight:
     return max((m for m in p.terms if m[0] - m[1] == d), key=lambda m: m[0])
 
 
-def leading_weight_mirror(p: WeylElement) -> Weight:
-    """Exponent pair of the highest-Y term on the mirror leading diagonal."""
-    i, j = leading_weight(transpose(p))
-    return (j, i)
-
-
 def leading_term(p: WeylElement) -> WeylElement:
     """The single term at the leading weight."""
     w = leading_weight(p)
     return WeylElement._raw({w: p.terms[w]})
 
 
-def leading_term_mirror(p: WeylElement) -> WeylElement:
-    return transpose(leading_term(transpose(p)))
-
-
 def leading_coeff(p: WeylElement) -> Fraction:
     return p.terms[leading_weight(p)]
-
-
-def leading_coeff_mirror(p: WeylElement) -> Fraction:
-    return leading_coeff(transpose(p))
 
 
 def is_monic(p: WeylElement) -> bool:
@@ -117,11 +90,6 @@ def aligned(p: WeylElement, q: WeylElement) -> bool:
 def is_x_dominant(p: WeylElement) -> bool:
     """True when the diagonal degree is positive."""
     return diag_degree(p) > 0
-
-
-def is_y_dominant(p: WeylElement) -> bool:
-    """True when the mirror diagonal degree is positive."""
-    return diag_degree_mirror(p) > 0
 
 
 def in_xy_subalgebra(p: WeylElement) -> bool:
@@ -188,24 +156,13 @@ def primitive_direction(p: WeylElement) -> tuple[Weight, int]:
     return (i0 // r, j0 // r), r
 
 
-def primitive_direction_mirror(p: WeylElement) -> tuple[Weight, int]:
-    """Mirror version, defined on y-dominant elements."""
-    if not is_y_dominant(p):
-        raise WrongSectorError("mirror primitive direction requires a y-dominant element")
-    (i, j), r = primitive_direction(transpose(p))
-    return (j, i), r
-
-
 @dataclass(frozen=True)
 class LeadingData:
     """All leading-form data of one nonzero element."""
 
     diag: int
-    diag_mirror: int
     weight: Weight
-    weight_mirror: Weight
     form: WeylElement
-    form_mirror: WeylElement
     term: WeylElement
     coeff: Fraction
     monic: bool
@@ -215,11 +172,8 @@ def leading_data(p: WeylElement) -> LeadingData:
     _require_nonzero(p, "leading data")
     return LeadingData(
         diag=diag_degree(p),
-        diag_mirror=diag_degree_mirror(p),
         weight=leading_weight(p),
-        weight_mirror=leading_weight_mirror(p),
         form=leading_form(p),
-        form_mirror=leading_form_mirror(p),
         term=leading_term(p),
         coeff=leading_coeff(p),
         monic=is_monic(p),

@@ -13,7 +13,6 @@ from weylalg import (
     BoundError,
     CentralizerBasis,
     ComponentKind,
-    DegenerateMonoidError,
     GradedForm,
     MembershipError,
     NotHomogeneousError,
@@ -29,7 +28,6 @@ from weylalg import (
     commutator,
     decompose,
     diag_degree,
-    diag_degree_mirror,
     dixmier_pair_from_script,
     expand_in_basis,
     from_graded_form,
@@ -38,8 +36,6 @@ from weylalg import (
     is_monomial_algebra_embedding,
     leading_form,
     leading_term,
-    monoid_classes,
-    monoid_up_to,
     mul,
     power,
     random_script,
@@ -48,6 +44,7 @@ from weylalg import (
     to_graded_form,
     total_degree,
     transpose,
+    weighted_degree,
 )
 from weylalg.centralizer import _monomials_upto, _rref_by_leading
 from weylalg.cli import _parse_script, basis_to_json, parse_element
@@ -352,7 +349,7 @@ class TestYSectorAgainstMirrorReference:
     @settings(max_examples=40, deadline=None)
     @given(sector_elements("y"), st.integers(0, 3))
     def test_y_dominant(self, p, extra):
-        assume(diag_degree(p) <= 0 < diag_degree_mirror(p))
+        assume(diag_degree(p) <= 0 < weighted_degree(p, (-1, 1)))
         bound = total_degree(p) + extra
         solved = centralizer_basis(p, bound)
         assert solved.sector == "y"
@@ -377,7 +374,7 @@ class TestDescentAgainstFullElimination:
     @settings(max_examples=60, deadline=None)
     @given(sector_elements("y"), st.integers(0, 5))
     def test_y_dominant(self, p, extra):
-        assume(diag_degree(p) <= 0 < diag_degree_mirror(p))
+        assume(diag_degree(p) <= 0 < weighted_degree(p, (-1, 1)))
         assert centralizer_basis(p, total_degree(p)).sector == "y"
         assert_same_as_full_elimination(p, total_degree(p) + extra)
 
@@ -549,36 +546,6 @@ class TestDecomposeSyntheticPeriodTwo:
         parts = decompose(element, basis)
         assert recompose(parts, basis) == element
         assert parts == [XYPolynomial([0, 0, -2]), Z + 1]
-
-
-class TestMonoidClasses:
-    def test_two_three(self):
-        info = monoid_classes(monoid_up_to([2, 3], 12))
-        assert info.min_positive == 2
-        assert info.gcd == 1
-        assert info.complete
-        assert min(info.classes[1]) == 3
-
-    def test_multiples_of_four(self):
-        info = monoid_classes({0, 4, 8, 12})
-        assert info.min_positive == 4
-        assert info.gcd == 4
-        assert info.classes[0] == [0, 4, 8, 12]
-        assert info.classes[1] == [] and info.classes[2] == [] and info.classes[3] == []
-        assert info.complete
-
-    def test_six_ten_fifteen(self):
-        info = monoid_classes(monoid_up_to([6, 10, 15], 60))
-        assert info.min_positive == 6
-        assert info.gcd == 1
-        assert info.complete
-        assert all(info.classes[r] for r in range(6))
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateMonoidError):
-            monoid_classes(set())
-        with pytest.raises(DegenerateMonoidError):
-            monoid_classes({0})
 
 
 class TestMonomialAlgebraEmbedding:

@@ -3,6 +3,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,23 @@ class TestExitCodes:
         code, _, err = run_cli(["normalize", "X^\u00b2"], capsys)
         assert code == 2
         assert "syntax error" in err
+
+    def test_leading_minus_after_double_dash(self, capsys):
+        # without "--" argparse reads "-X+Y" as an option
+        assert run_cli(["normalize", "-X+Y"], capsys)[0] == 2
+        assert run_cli(["normalize", "--", "-X+Y"], capsys) == (0, "-X + Y\n", "")
+        assert run_cli(["mul", "--", "X", "-Y"], capsys) == (0, "-X*Y\n", "")
+
+
+# stdout and exit code of `main`, recorded once and compared byte for byte;
+# a change to any of them is a change of the command-line contract
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_output(case, capsys):
+    code, out, _ = run_cli(case["argv"], capsys)
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 def _nested(depth: int) -> str:

@@ -54,11 +54,13 @@ def partner_free_by_elimination(p, bound: int) -> bool:
     """No q of total degree <= bound has [q, p] = 1, decided by linear algebra.
 
     The ad matrix of p over every monomial up to the bound, with the
-    right-hand side -1 of [p, q] = -1 appended as column ncols, goes
+    right-hand side -1 of [p, q] = -1 appended as the last column, goes
     through `sparse_solvable`; `_ad_matrix_rows` scales p by the lcm of its
     denominators, which leaves solvability unchanged.
     """
-    rows, ncols, targets = _ad_matrix_rows(p, _monomials_upto(bound))
+    columns = _monomials_upto(bound)
+    ncols = len(columns)
+    rows, targets = _ad_matrix_rows(p, columns)
     rows = [dict(r) for r in rows]
     if (0, 0) in targets:
         rows[targets.index((0, 0))][ncols] = -1

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -17,29 +20,23 @@ from weylalg import (
     centralizer_basis,
     commutator,
     diag_degree,
-    diag_degree_mirror,
     from_terms,
     is_monic,
     is_x_dominant,
-    is_y_dominant,
     leading_coeff,
     leading_data,
     leading_form,
-    leading_form_mirror,
     leading_term,
-    leading_term_mirror,
     leading_weight,
-    leading_weight_mirror,
     mul,
     newton_edges,
     power,
     primitive_direction,
-    primitive_direction_mirror,
     support,
     total_degree,
     weighted_degree,
 )
-from weylalg.cli import _parse_script
+from weylalg.cli import _parse_script, format_element, main
 from weylalg.derivation import dixmier_pair_from_script
 
 from conftest import swap_exponents, weyl_elements
@@ -65,7 +62,7 @@ class TestDiagDegree:
         with pytest.raises(UndefinedOnZeroError):
             diag_degree(ZERO)
         with pytest.raises(UndefinedOnZeroError):
-            diag_degree_mirror(ZERO)
+            weighted_degree(ZERO, (-1, 1))
 
 
 class TestSupport:
@@ -142,8 +139,9 @@ class TestSectors:
         assert is_x_dominant(X + power(Y, 2))
 
     def test_mirror(self):
-        assert is_y_dominant(Y)
-        assert not is_y_dominant(mul(X, Y))
+        # y-dominant: x-dominant once the exponents are swapped
+        assert is_x_dominant(swap_exponents(Y))
+        assert not is_x_dominant(swap_exponents(mul(X, Y)))
 
 
 class TestPrimitiveDirection:
@@ -160,11 +158,14 @@ class TestPrimitiveDirection:
         with pytest.raises(WrongSectorError):
             primitive_direction(mul(X, Y))
         with pytest.raises(WrongSectorError):
-            primitive_direction_mirror(X)
+            primitive_direction(Y)
 
     def test_mirror(self):
-        assert primitive_direction_mirror(from_terms([(1, 2, 1)])) == ((1, 2), 1)
-        assert primitive_direction_mirror(power(Y, 3)) == ((0, 1), 3)
+        # a y-dominant element has the swapped direction of its swapped element
+        assert primitive_direction(swap_exponents(from_terms([(1, 2, 1)]))) == ((2, 1), 1)
+        assert primitive_direction(swap_exponents(power(Y, 3))) == ((1, 0), 3)
+        assert centralizer_basis(from_terms([(1, 2, 1)]), 3).direction == (1, 2)
+        assert centralizer_basis(power(Y, 3), 3).direction == (0, 1)
 
 
 def test_leading_data_bundle():
@@ -214,23 +215,34 @@ def test_leading_form_is_idempotent_for_weight_data(p):
     assert diag_degree(leading_form(p)) == diag_degree(p)
 
 
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
 @given(weyl_elements(nonzero=True))
 def test_mirror_quantities_are_the_swapped_plain_ones(p):
+    # `weylalg leading` reports the mirror quantities: the plain ones of the
+    # element with X and Y exponents exchanged, mapped back
     swapped = swap_exponents(p)
-    assert diag_degree_mirror(p) == diag_degree(swapped)
-    assert leading_form_mirror(p) == swap_exponents(leading_form(swapped))
+    expr = format_element(p)
+    data = json.loads(_cli_stdout(["leading", "--json", "--", expr]))
+    assert data["diag_degree_mirror"] == diag_degree(swapped)
     i, j = leading_weight(swapped)
-    assert leading_weight_mirror(p) == (j, i)
-    assert leading_term_mirror(p) == swap_exponents(leading_term(swapped))
+    assert data["weight_mirror"] == {"i": j, "j": i}
+    mirror_form = format_element(swap_exponents(leading_form(swapped)))
+    assert f"mirror leading form: {mirror_form}" in _cli_stdout(["leading", "--", expr]).splitlines()
 
 
 @settings(max_examples=80, deadline=None)
 @given(weyl_elements(nonzero=True))
 def test_nonpositive_both_ways_means_diagonal(p):
     # an element dominated in neither direction is supported on the diagonal
-    if diag_degree(p) <= 0 and diag_degree_mirror(p) <= 0:
-        assert diag_degree(p) == 0 and diag_degree_mirror(p) == 0
+    if diag_degree(p) <= 0 and weighted_degree(p, (-1, 1)) <= 0:
+        assert diag_degree(p) == 0 and weighted_degree(p, (-1, 1)) == 0
         assert all(i == j for i, j in p.terms)
 
 
