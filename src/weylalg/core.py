@@ -27,6 +27,60 @@ the coefficients, so
 
 with f the lowering factor; the i = 0 terms, which cancel, are never formed.
 
+The second kernel, `_sampled`, works through the action on Q[x] (X is
+multiplication by x, Y is d/dx).  There
+
+    X^i Y^j x^n = n (n-1) ... (n-j+1) x^(n+i-j),
+
+so the grade-g part of a (its terms with i - j = g) sends x^n to
+w_g(n) x^(n+g), where w_g(n) = sum_j a_(j+g, j) n (n-1) ... (n-j+1) is a
+polynomial in n with Delta^j w_g(0) = j! a_(j+g, j).  Products compose:
+
+    (ab)_g(n) = sum_h a_(g-h)(n + h) b_h(n),
+
+and b_h(n) = 0 for n < -h.  w_g of the result has degree at most
+max(deg a_k + deg b_h) over k + h = g, so that many samples plus one fix
+it.  The tables of a_k and b_h are summed up from their forward differences
+(Newton's forward formula: additions only), the samples are multiplied and
+summed per grade (for the commutator, ab - ba in one pass), and the result
+is read back once: the coefficient of X^(j+g) Y^j is Delta^j w_g(0) / j!.
+That division is exact, so a remainder, or a nonzero value for j + g < 0,
+raises InternalInconsistencyError.  The integers and the denominators are
+those of the normal-ordering kernels.  On dense operands of degree D this
+costs O(D^3) against O(D^5) for the monomial rule.
+
+`mul` and `commutator` choose a kernel per call.  With na, nb the term
+counts, fewer than 1000 term pairs go straight to the monomial rule, so
+small operands pay O(1) for the choice.  Otherwise the monomial rule is
+estimated at na nb (1 + L), with L the smaller of the mean Y exponent of
+the left factor and the mean X exponent of the right one (for the
+commutator the larger of the two orders), and sampling at
+(1 or 2) |grades a| |grades b| (M + 1) + G (M + 1)^2 / 2, with M the sum
+of the largest Y exponents and G the number of grades of the result.
+Sampling runs when its estimate is below 2.0 times the other.  The ratio
+was calibrated on 61 operand pairs of 1000 term pairs or more: every such
+call in one round of the benchmark's three workloads, dense powers of
+linear and quadratic elements, and random sparse elements with up to 150
+terms.  Below an estimate ratio of 1.5, sampling was faster on all 11
+pairs, by 1.1 to 14 times; between 1.5 and 4 it was faster on 18 of 25,
+by at most 2.2 times, and up to 1.4 times slower on the rest; above 4 it
+was slower on 20 of 25.  At 2.0 the centralizer's re-verification, L or
+P6 against a basis element at ratios 3.5 to 7.6, stays on the monomial
+rule.  Process times (CPython 3.11, one core of a shared virtual machine):
+
+    operands (terms)                              monomial, s    sampled, s
+    [Q, P] of the degree-54 gen-pair (67 x 679)   0.14-0.21      0.020-0.029
+    (X+Y+1)^14 (X-2Y+3)^14 (120 x 120)            0.026-0.041    0.008-0.011
+    [(X+Y+1)^20, (X-2Y+3)^20] (231 x 231)         0.23-0.31      0.018-0.034
+    [L, basis element] at bound 36 (8 x 276)      0.0044-0.0062  0.0050-0.0068
+
+The monomial rule stays: it is also the row rule of the centralizer's
+matrix assembly (`_factors`), it is cheaper on small and lopsided
+operands, and the tests compare the two kernels with each other and with
+the independent action of `oracle.py`.
+
+`power` squares repeatedly over the dispatching `mul`.
+
 `transpose` swaps the two exponents of every term.  It is the
 anti-automorphism that exchanges X and Y, and the rest of the package uses
 it to reduce every statement about Y-heavy elements to the X-heavy case.
@@ -39,15 +93,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
+from operator import add as add_int, mul as mul_int, sub as sub_int
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import MalformedInputError, UndefinedOnZeroError
+from .errors import InternalInconsistencyError, MalformedInputError, UndefinedOnZeroError
 
 Monomial = tuple[int, int]
 Coefficient = Fraction | int
 
 _ZERO = Fraction(0)
+
+# Dispatch constants of `mul` and `commutator`, calibrated in the module docstring.
+_DIRECT_PAIRS = 1000
+_SAMPLED_RATIO = 2.0
 
 
 @cache
@@ -205,8 +264,8 @@ def _over(sums: dict[Monomial, int], den: int) -> WeylElement:
     return WeylElement._raw({key: Fraction(v, den) for key, v in sums.items() if v})
 
 
-def mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Normal-ordered product, extended bilinearly from the monomial rule."""
+def _mul_direct(a: WeylElement, b: WeylElement) -> WeylElement:
+    """a*b by the monomial rule."""
     da, ta = _integer_terms(a)
     db, tb = _integer_terms(b)
     sums: dict[Monomial, int] = {}
@@ -221,8 +280,8 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return _over(sums, da * db)
 
 
-def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] = a*b - b*a, summed over the lowering terms i >= 1 only."""
+def _commutator_direct(a: WeylElement, b: WeylElement) -> WeylElement:
+    """[a, b] by the monomial rule, over the lowering terms i >= 1 only."""
     da, ta = _integer_terms(a)
     db, tb = _integer_terms(b)
     sums: dict[Monomial, int] = {}
@@ -243,6 +302,108 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return _over(sums, da * db)
 
 
+def _differences(terms: list[tuple[int, int, int]]) -> dict[int, list[int]]:
+    """{g: [Delta^0 w_g(0), ..., Delta^J w_g(0)]} for integer terms (i, j, n).
+
+    X^(j+g) Y^j sends x^n to n (n-1) ... (n-j+1) x^(n+g), whose j-th
+    forward difference at n = 0 is j! and whose others there are 0.
+    """
+    diffs: dict[int, dict[int, int]] = {}
+    for i, j, c in terms:
+        diffs.setdefault(i - j, {})[j] = c * factorial(j)
+    return {g: [row.get(j, 0) for j in range(max(row) + 1)] for g, row in diffs.items()}
+
+
+def _values(d: list[int], width: int) -> list[int]:
+    # Newton's forward formula, summed up with additions only: w(0), ..., w(width - 1)
+    values = []
+    for _ in range(width):
+        values.append(d[0])
+        d = [*map(add_int, d, d[1:]), d[-1]]
+    return values
+
+
+def _read_back(samples: dict[int, list[int]]) -> dict[Monomial, int]:
+    """{(j + g, j): Delta^j w_g(0) / j!} from the samples w_g(0), w_g(1), ... of each g.
+
+    The division must be exact and nothing may land on a negative exponent;
+    anything else means the samples are wrong.
+    """
+    sums: dict[Monomial, int] = {}
+    for g, values in samples.items():
+        fact = 1
+        for j in range(len(values)):
+            if j:
+                fact *= j
+                values = [*map(sub_int, values[1:], values[:-1])]
+            q, r = divmod(values[0], fact)
+            if r or (q and j + g < 0):
+                raise InternalInconsistencyError(
+                    f"sampled product: Delta^{j} w_{g}(0) is not {j}! times a coefficient"
+                )
+            if q:
+                sums[(j + g, j)] = q
+    return sums
+
+
+def _sampled(a: WeylElement, b: WeylElement, bracket: bool) -> WeylElement:
+    """a*b, or [a, b] when `bracket`, through the action on x^0, x^1, ..."""
+    if not (a and b):
+        return ZERO
+    da, ta = _integer_terms(a)
+    db, tb = _integer_terms(b)
+    fa, fb = _differences(ta), _differences(tb)
+    # the result's w_g has degree below size[g], the most deg a_k + deg b_h + 1 over k + h = g
+    size: dict[int, int] = {}
+    for k, dk in fa.items():
+        for h, dh in fb.items():
+            size[k + h] = max(size.get(k + h, 0), len(dk) + len(dh) - 1)
+    va = {k: _values(d, max(size[k + h] + max(h, 0) for h in fb)) for k, d in fa.items()}
+    vb = {h: _values(d, max(size[k + h] + max(k, 0) for k in fa)) for h, d in fb.items()}
+    samples = {g: [0] * m for g, m in size.items()}
+
+    def compose(left, right, op):
+        # (left right)_g(n) = sum_h left_(g-h)(n + h) right_h(n); 0 for n < -h or n < -g
+        for h, rv in right.items():
+            for k, lv in left.items():
+                s = samples[k + h]
+                m, n0 = len(s), max(0, -h, -k - h)
+                s[n0:] = map(op, s[n0:], map(mul_int, lv[n0 + h : m + h], rv[n0:m]))
+
+    compose(va, vb, add_int)
+    if bracket:
+        compose(vb, va, sub_int)
+    return _over(_read_back(samples), da * db)
+
+
+def _sampled_pays(a: WeylElement, b: WeylElement, bracket: bool) -> bool:
+    """True when the cost estimate favours `_sampled` over the direct rule."""
+    na, nb = len(a._terms), len(b._terms)
+    if na * nb < _DIRECT_PAIRS:
+        return False
+    xa = sum(i for i, _ in a._terms) / na
+    ya = sum(j for _, j in a._terms) / na
+    xb = sum(i for i, _ in b._terms) / nb
+    yb = sum(j for _, j in b._terms) / nb
+    lowering = max(min(ya, xb), min(yb, xa)) if bracket else min(ya, xb)
+    grades_a = {i - j for i, j in a._terms}
+    grades_b = {i - j for i, j in b._terms}
+    grades = max(grades_a) + max(grades_b) - min(grades_a) - min(grades_b) + 1
+    top = max(j for _, j in a._terms) + max(j for _, j in b._terms) + 1
+    sampled = (1 + bracket) * len(grades_a) * len(grades_b) * top + grades * top * top / 2
+    return sampled < _SAMPLED_RATIO * na * nb * (1 + lowering)
+
+
+def mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Normal-ordered product, by the monomial rule or by sampling: the cheaper estimate."""
+    return _sampled(a, b, False) if _sampled_pays(a, b, False) else _mul_direct(a, b)
+
+
+def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
+    """[a, b] = a*b - b*a, by the lowering terms i >= 1 or by sampling: the cheaper estimate."""
+    return _sampled(a, b, True) if _sampled_pays(a, b, True) else _commutator_direct(a, b)
+
+
 def transpose(a: WeylElement) -> WeylElement:
     """The anti-automorphism X^i Y^j -> X^j Y^i, which swaps X and Y.
 
@@ -256,8 +417,12 @@ def power(a: WeylElement, n: int) -> WeylElement:
     if not isinstance(n, int) or n < 0:
         raise MalformedInputError(f"exponent must be a nonnegative integer, got {n!r}")
     out = ONE
-    for _ in range(n):
-        out = mul(out, a)
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
     return out
 
 

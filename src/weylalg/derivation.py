@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .core import ONE, WeylElement, X, Y, commutator, from_terms, mul, total_degree
 from .centralizer import CentralizerBasis, centralizer_basis, expand_in_basis

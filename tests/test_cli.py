@@ -17,7 +17,6 @@ from weylalg import (
     ZERO,
     from_terms,
     mul,
-    power,
 )
 from weylalg.cli import (
     MAX_BOUND,

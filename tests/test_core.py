@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylalg import (
+    InternalInconsistencyError,
     MalformedInputError,
     ONE,
     UndefinedOnZeroError,
@@ -12,6 +13,7 @@ from weylalg import (
     Y,
     ZERO,
     add,
+    centralizer_basis,
     commutator,
     from_terms,
     mul,
@@ -20,6 +22,9 @@ from weylalg import (
     total_degree,
     transpose,
 )
+from weylalg.cli import _parse_script, main, parse_element
+from weylalg.core import _commutator_direct, _mul_direct, _read_back, _sampled, _sampled_pays
+from weylalg.derivation import dixmier_pair_from_script
 from weylalg.oracle import act, max_y_exponent, oracle_mul_check, x_power
 
 from conftest import weyl_elements
@@ -239,3 +244,113 @@ def test_commutator_matches_operator_bracket(a, b):
 def test_action_is_additive(a, b, n):
     p = x_power(n)
     assert act(add(a, b), p) == _poly_add(act(a, p), act(b, p))
+
+
+# The sampled kernel, called directly: the dispatch sends small operands to
+# the monomial rule, so the public functions never reach it here.
+
+_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 13])
+
+
+@st.composite
+def graded_operands(draw):
+    """Elements whose grades i - j are all negative, all nonnegative, or mixed."""
+    grades = draw(st.sampled_from(["negative", "nonnegative", "mixed"]))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i, j = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        if grades == "negative" and i >= j:
+            i, j = j, i + 1
+        elif grades == "nonnegative" and i < j:
+            i, j = j, i
+        num = draw(st.integers(-9, 9).filter(bool))
+        terms.append((i, j, Fraction(num, draw(_DENOMINATORS))))
+    return from_terms(terms)
+
+
+EDGE_OPERANDS = [
+    ZERO,
+    ONE,
+    from_terms([(0, 0, Fraction(-3, 2))]),
+    X,
+    Y,
+    from_terms([(3, 5, Fraction(-2, 7))]),
+    from_terms([(0, 4, Fraction(1, 3)), (2, 3, Fraction(5, 11)), (0, 1, 1)]),  # grades < 0 only
+    from_terms([(4, 0, 2), (1, 1, Fraction(1, 4)), (0, 0, Fraction(1, 9))]),
+]
+
+
+def _assert_kernels_agree(a, b):
+    assert _sampled(a, b, False) == _mul_direct(a, b)
+    assert _sampled(a, b, True) == _commutator_direct(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_operands(), graded_operands())
+def test_sampled_kernel_matches_monomial_rule(a, b):
+    _assert_kernels_agree(a, b)
+
+
+@pytest.mark.parametrize("a", EDGE_OPERANDS)
+@pytest.mark.parametrize("b", EDGE_OPERANDS)
+def test_sampled_kernel_on_zero_scalars_and_monomials(a, b):
+    _assert_kernels_agree(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_operands(), graded_operands())
+def test_sampled_kernel_matches_operator_composition(a, b):
+    product, bracket = _sampled(a, b, False), _sampled(a, b, True)
+    for n in range(max_y_exponent(a) + max_y_exponent(b) + 1):
+        p = x_power(n)
+        ab, ba = act(a, act(b, p)), act(b, act(a, p))
+        assert act(product, p) == ab
+        assert act(bracket, p) == _poly_sub(ab, ba)
+
+
+def test_gen_pair_witness_is_one_on_both_kernels():
+    script = _parse_script("addY:Y^3; addX:X^3; addY:Y^3; addX:X^2")
+    pair = dixmier_pair_from_script(script)
+    p, q = pair.p, pair.q
+    assert (total_degree(p), len(p.terms), len(q.terms)) == (54, 679, 67)
+    assert _sampled(q, p, True) == ONE
+    assert _commutator_direct(q, p) == ONE
+    assert _sampled_pays(q, p, True)
+
+
+def test_dispatch_keeps_small_operands_and_the_reverification_on_the_monomial_rule():
+    dense = power(X + Y + 1, 14), power(X - 2 * Y + 3, 14)
+    assert _sampled_pays(*dense, False) and _sampled_pays(*dense, True)
+    assert not _sampled_pays(power(X + Y + 1, 5), power(X - 2 * Y + 3, 5), False)  # 21 x 21 terms
+    dixmier_l = parse_element("(Y^2 + X^3 + 1)^2 + 2*X")
+    basis = centralizer_basis(dixmier_l, 36)
+    assert max(len(e.terms) for e in basis.elements()) * len(dixmier_l.terms) >= 1000
+    assert not any(_sampled_pays(dixmier_l, e, True) for e in basis.elements())
+
+
+class TestReadBack:
+    def test_exact(self):
+        # X^2 Y^2 sends x^n to n (n - 1) x^n; Y sends x^n to n x^(n - 1)
+        assert _read_back({0: [0, 0, 2], -1: [0, 1]}) == {(2, 2): 1, (0, 1): 1}
+
+    def test_inexact_difference_is_an_error(self):
+        with pytest.raises(InternalInconsistencyError):
+            _read_back({0: [0, 0, 3]})  # Delta^2 = 3 is not a multiple of 2!
+
+    def test_negative_exponent_is_an_error(self):
+        with pytest.raises(InternalInconsistencyError):
+            _read_back({-1: [5]})  # would be X^-1
+
+    def test_corrupted_sample_exits_3(self, capsys, monkeypatch):
+        left, right = "(X+Y+1)^12", "(X-2*Y+3)^12"
+        assert _sampled_pays(parse_element(left), parse_element(right), True)
+
+        def corrupted(samples):
+            copy = {g: list(values) for g, values in samples.items()}
+            values = max(copy.values(), key=len)
+            values[-1] += 1
+            return _read_back(copy)
+
+        monkeypatch.setattr("weylalg.core._read_back", corrupted)
+        assert main(["comm", left, right]) == 3
+        assert "internal inconsistency" in capsys.readouterr().err

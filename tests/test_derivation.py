@@ -19,7 +19,6 @@ from weylalg import (
     X,
     XYPolynomial,
     Y,
-    Z,
     ZERO,
     ad,
     apply_script,

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-from fractions import Fraction
 from unittest import mock
 
 import pytest

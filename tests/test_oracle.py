@@ -2,7 +2,6 @@ from fractions import Fraction
 from math import factorial
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from weylalg import ONE, WeylElement, X, Y, from_terms, mul, power
 from weylalg.oracle import (
