@@ -7,17 +7,23 @@ derivation.  This module measures that derivation on a computed basis
 polynomial algebra generated by P up to the chosen degree bound.
 
 Pairs with [Q, P] = 1 are produced as images of (X, Y) under composites of
-elementary automorphisms, which preserve the defining relation.
+elementary automorphisms, which preserve the defining relation.  Each one
+fixes a generator, so `ElementaryAutomorphism.apply` forms no general
+product: the image of a term is a power of the image that moves, built
+once in integers by a two-term step, with one exponent shifted, or for
+fourier one row of normal-ordering factors.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Literal, Sequence
 
-from .core import ONE, WeylElement, X, Y, commutator, from_terms, mul, total_degree
+from .core import Monomial, ONE, WeylElement, X, Y, commutator, from_terms, mul, total_degree
+from .core import _factors, _integer_terms, _over, transpose
 from .centralizer import CentralizerBasis, centralizer_basis, expand_in_basis
 from .errors import (
     BoundEscapeError,
@@ -99,18 +105,23 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
         raise MalformedInputError("basis was not computed for the first element of the pair")
     degenerate = len(basis.levels) <= 1 or not basis.picks
 
+    @cache
+    def image(level: int) -> tuple[WeylElement, dict[int, Fraction]]:
+        # [q, S] of the basis element S at a level, and its coordinates
+        out = ad(pair.q, basis.by_level[level])
+        return out, (_image_coordinates(basis, out) if out else {})
+
     nonzero: list[int] = []
     degrees: dict[int, tuple[int, int]] = {}
     drops: set[int] = set()
-    for residue, pick in enumerate(basis.picks):
-        if pick is None:
+    for residue, level in enumerate(basis.pick_levels):
+        if level is None:
             degenerate = True
             continue
-        image = ad(pair.q, pick)
-        if not image:
+        value, coords = image(level)
+        if not value:
             continue
-        coords = _image_coordinates(basis, image)
-        pick_deg = basis.ray_degrees[basis.pick_levels[residue]]
+        pick_deg = basis.ray_degrees[level]
         image_deg = basis.ray_degrees[max(coords)] if coords else 0
         nonzero.append(residue)
         degrees[residue] = (pick_deg, image_deg)
@@ -120,10 +131,7 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
     constant_drop = drops.pop() if drops else None
 
     # kernel of the derivation on the computed span
-    cols: list[dict[int, Fraction]] = []
-    for level in basis.levels:
-        image = ad(pair.q, basis.by_level[level])
-        cols.append(_image_coordinates(basis, image) if image else {})
+    cols = [image(level)[1] for level in basis.levels]
     matrix = [
         [cols[ci].get(target, Fraction(0)) for ci in range(len(cols))]
         for target in basis.levels
@@ -206,7 +214,7 @@ class ElementaryAutomorphism:
     checking that the images of Y and X still have commutator 1.
     """
 
-    __slots__ = ("kind", "poly", "image_x", "image_y")
+    __slots__ = ("kind", "poly")
 
     def __init__(self, kind: AutomorphismKind, poly: WeylElement | None = None):
         if kind == "addY":
@@ -227,31 +235,83 @@ class ElementaryAutomorphism:
             raise InternalInconsistencyError("automorphism images break the relation")
         self.kind = kind
         self.poly = poly
-        self.image_x = image_x
-        self.image_y = image_y
 
     def apply(self, a: WeylElement) -> WeylElement:
-        """Substitute the images into the normal form of a.
+        """The image of a, formed with no general product.
 
-        The powers of each image are built once, each from the previous
-        one, and the images of all terms are summed in one accumulator.
+        addY sends X^i Y^j to A^i Y^j with A = X + p(Y).  With d the
+        denominator of p, the powers of dA are built once, in integers, each
+        from the last by X^x Y^y * X = X^(x+1) Y^y + y X^x Y^(y-1), and Y^j
+        only shifts their Y exponents.  addX is addY conjugated by
+        `transpose`: X^i Y^j goes to X^i B^j with B = Y + p(X), whose powers
+        follow Y * X^x Y^y = X^x Y^(y+1) + x X^(x-1) Y^y, and X^i shifts
+        their X exponents.  fourier sends X^i Y^j to (-1)^j Y^i X^j,
+        normal-ordered from the `_factors(i, j)` row.  Every term is summed
+        as an integer over one denominator, and Fractions are built once.
         """
-        xs, ys = [ONE], [ONE]
-        for i, j in a.terms:
-            while len(xs) <= i:
-                xs.append(mul(xs[-1], self.image_x))
-            while len(ys) <= j:
-                ys.append(mul(ys[-1], self.image_y))
-        return from_terms(
-            (x, y, c * v)
-            for (i, j), c in a.terms.items()
-            for (x, y), v in mul(xs[i], ys[j]).terms.items()
-        )
+        if self.kind == "fourier":
+            return _fourier(a)
+        if self.kind == "addY":
+            return _add_y(self.poly, a)
+        return transpose(_add_y(transpose(self.poly), transpose(a)))
 
     def __repr__(self) -> str:
         if self.kind == "fourier":
             return "ElementaryAutomorphism(fourier)"
         return f"ElementaryAutomorphism({self.kind}, {self.poly!r})"
+
+
+def _add_y(p: WeylElement, a: WeylElement) -> WeylElement:
+    """The image of a under X -> X + p(Y), Y -> Y (see `ElementaryAutomorphism.apply`).
+
+    With p = sum_k e_k Y^k / d over integers, dA = dX + sum_k e_k Y^k, and
+    a term n/d_a X^i Y^j adds n d^(m-i) (dA)^i Y^j over the one denominator
+    d_a d^m, with m the largest X exponent of a.
+    """
+    da, ta = _integer_terms(a)
+    d, tp = _integer_terms(p)
+    top = max((i for i, _, _ in ta), default=0)
+    powers = [{(0, 0): 1}]
+    for _ in range(top):
+        step: dict[Monomial, int] = {}
+        get = step.get
+        for (x, y), c in powers[-1].items():
+            dc = d * c
+            key = (x + 1, y)
+            step[key] = get(key, 0) + dc
+            if y:
+                key = (x, y - 1)
+                step[key] = get(key, 0) + y * dc
+            for _, k, e in tp:
+                key = (x, y + k)
+                step[key] = get(key, 0) + c * e
+        powers.append(step)
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for i, j, n in ta:
+        scale = n * d ** (top - i)
+        for (x, y), c in powers[i].items():
+            key = (x, y + j)
+            sums[key] = get(key, 0) + scale * c
+    return _over(sums, da * d**top)
+
+
+def _fourier(a: WeylElement) -> WeylElement:
+    """The image of a under X -> Y, Y -> -X.
+
+    X^i Y^j goes to (-1)^j Y^i X^j = (-1)^j sum_k f_k X^(j-k) Y^(i-k), with
+    f = _factors(i, j) the normal-ordering row of Y^i X^j.
+    """
+    da, ta = _integer_terms(a)
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for i, j, n in ta:
+        if j & 1:
+            n = -n
+        for k, f in enumerate(_factors(i, j)):
+            key = (j - k, i - k)
+            sums[key] = get(key, 0) + n * f
+    return _over(sums, da)
 
 
 def apply_script(script: Sequence[ElementaryAutomorphism], a: WeylElement) -> WeylElement:
@@ -272,12 +332,26 @@ def dixmier_pair_from_script(script: Sequence[ElementaryAutomorphism]) -> Dixmie
 
 @dataclass(frozen=True)
 class ScriptLimits:
-    """Sampling limits that keep generated pairs at desk scale."""
+    """Sampling limits that keep generated pairs at desk scale.
+
+    Every limit is a positive integer.  At 0 `random_script` has no length
+    or polynomial degree to draw, draws only zero polynomials (coeff_bound),
+    or rejects every script, since the image of X is never a scalar
+    (max_total_degree).
+    """
 
     max_len: int = 3
     max_poly_degree: int = 3
     coeff_bound: int = 3
     max_total_degree: int = 12
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or value < 1:
+                raise MalformedInputError(
+                    f"ScriptLimits.{field.name} must be a positive integer, got {value!r}"
+                )
 
 
 def random_script(

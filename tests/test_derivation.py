@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylalg import (
     BoundEscapeError,
@@ -42,11 +43,59 @@ from weylalg import (
 
 from weylalg.centralizer import _ad_matrix_rows, _monomials_upto
 from weylalg.linalg import sparse_solvable
+from weylalg.oracle import act, max_y_exponent, x_power
 
 from conftest import weyl_elements
 
 XY = mul(X, Y)
 P_SHIFTED = X + power(Y, 2)
+
+
+def apply_by_products(auto: ElementaryAutomorphism, a):
+    """The image of a by substitution, with general products.
+
+    Each term X^i Y^j of a goes to image_x^i * image_y^j; the powers of each
+    image are built once by `mul`, and the terms are summed in Fractions.
+    """
+    if auto.kind == "addY":
+        image_x, image_y = X + auto.poly, Y
+    elif auto.kind == "addX":
+        image_x, image_y = X, Y + auto.poly
+    else:
+        image_x, image_y = Y, -X
+    xs, ys = [ONE], [ONE]
+    for i, j in a.terms:
+        while len(xs) <= i:
+            xs.append(mul(xs[-1], image_x))
+        while len(ys) <= j:
+            ys.append(mul(ys[-1], image_y))
+    return from_terms(
+        (x, y, c * v)
+        for (i, j), c in a.terms.items()
+        for (x, y), v in mul(xs[i], ys[j]).terms.items()
+    )
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def automorphisms(draw, max_degree: int = 3):
+    kind = draw(st.sampled_from(["addY", "addX", "fourier"]))
+    if kind == "fourier":
+        return ElementaryAutomorphism("fourier")
+    coeffs = enumerate(draw(st.lists(_fractions, max_size=max_degree + 1)))
+    terms = [(0, k, c) if kind == "addY" else (k, 0, c) for k, c in coeffs]
+    return ElementaryAutomorphism(kind, from_terms(terms))
+
+
+# zero, scalars, small elements, and sparse elements with high X or Y exponents
+_apply_inputs = st.one_of(
+    st.just(ZERO),
+    _fractions.map(lambda c: from_terms([(0, 0, c)])),
+    weyl_elements(),
+    weyl_elements(max_exp=12, max_terms=3),
+)
 
 
 def partner_free_by_elimination(p, bound: int) -> bool:
@@ -270,6 +319,34 @@ class TestElementaryAutomorphisms:
         assert auto.apply(mul(a, b)) == mul(auto.apply(a), auto.apply(b))
 
 
+ADD_Y_FRACTIONAL = ElementaryAutomorphism("addY", Fraction(1, 3) * power(Y, 2) - Fraction(1, 2))
+ADD_X_FRACTIONAL = ElementaryAutomorphism("addX", Fraction(2, 5) * power(X, 3) + Fraction(3, 7) * X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(automorphisms(), _apply_inputs)
+@example(ADD_Y_FRACTIONAL, from_terms([(9, 2, Fraction(5, 4)), (0, 3, Fraction(-2, 9)), (1, 0, 1)]))
+@example(ADD_X_FRACTIONAL, from_terms([(2, 11, Fraction(7, 6)), (4, 0, Fraction(1, 5))]))
+@example(ElementaryAutomorphism("fourier"), from_terms([(7, 5, Fraction(3, 2)), (4, 9, -1), (0, 0, 2)]))
+@example(ADD_Y_FRACTIONAL, ZERO)
+@example(ADD_X_FRACTIONAL, from_terms([(0, 0, Fraction(-4, 3))]))
+def test_apply_matches_products(auto, a):
+    assert auto.apply(a) == apply_by_products(auto, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(automorphisms(max_degree=2), weyl_elements(max_exp=3), weyl_elements(max_exp=3))
+@example(ADD_Y_FRACTIONAL, from_terms([(2, 1, Fraction(1, 2))]), from_terms([(1, 3, Fraction(2, 3))]))
+@example(ElementaryAutomorphism("fourier"), from_terms([(0, 3, 1)]), from_terms([(3, 1, -2)]))
+def test_apply_is_multiplicative(auto, a, b):
+    # phi(ab) against the composed actions of phi(a) and phi(b) on x^n, with
+    # no normal-form product on the right side
+    left, fa, fb = auto.apply(mul(a, b)), auto.apply(a), auto.apply(b)
+    cut = max(max_y_exponent(left), max_y_exponent(fa) + max_y_exponent(fb))
+    for n in range(cut + 1):
+        assert act(left, x_power(n)) == act(fa, act(fb, x_power(n)))
+
+
 class TestPairFromScript:
     def test_empty_script(self):
         assert dixmier_pair_from_script([]) == DixmierPair(X, Y, ONE)
@@ -287,6 +364,20 @@ class TestPairFromScript:
         )
         assert pair.p == X + power(Y + power(X, 2), 2)
         assert pair.q == Y + power(X, 2)
+
+    @pytest.mark.parametrize("field", ["max_len", "max_poly_degree", "coeff_bound", "max_total_degree"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5])
+    def test_limits_rejected(self, field, value):
+        # at 0 random_script would raise from randrange or never return
+        with pytest.raises(MalformedInputError, match=f"ScriptLimits.{field} must be a positive"):
+            ScriptLimits(**{field: value})
+
+    def test_smallest_limits(self):
+        # every polynomial is linear, so every pair has degree 1 and the first
+        # script drawn is taken
+        script = random_script(random.Random(0), ScriptLimits(1, 1, 1, 1))
+        assert len(script) == 1
+        assert total_degree(dixmier_pair_from_script(script).p) == 1
 
     def test_random_scripts_respect_cap(self):
         rng = random.Random(11)
