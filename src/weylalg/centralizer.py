@@ -19,6 +19,10 @@ all of them up to the bound lie in (D / deg P) N(P).  The region is the
 set of monomials with deg(P) (rho a + sigma b) <= D h for every edge of
 `leading.newton_edges`, so it is cut with integers only.
 
+The commutator matrix is assembled by exponent shifts: in
+[P, X^a Y^b] = [P, X^a] Y^b + X^a [P, Y^b] the outer factors only raise
+exponents, so each column merges two brackets formed once per a and b.
+
 The kernel is found by a descent in the diagonal-major order (diagonal
 first, then the X exponent).  With (i0, j0) the leading weight of P, the
 top term of [P, X^a Y^b] sits at (a + i0 - 1, b + j0 - 1) with coefficient
@@ -26,12 +30,13 @@ c0 (j0 a - i0 b), which vanishes exactly on the primitive ray.  So, from
 the highest target down, each row of the commutator matrix either solves
 one new off-ray monomial from those already solved, or constrains the
 coefficients at the ray points, which are the parameters; a row whose
-monomial lies outside the region is a constraint too.  The small
-constraint system, parameters by ascending level, has the leading ray
-levels as its free columns, and its kernel vectors give the basis in
-reduced echelon form under the same order: every vector is monic with a
-distinct leading term on the ray, and the basis is unique for the given
-bound.
+monomial lies outside the region is a constraint too.  Each constraint
+is eliminated as it arrives, solved for its smallest level, so the
+levels left without a relation are the free columns of the constraint
+system under ascending levels: the leading ray levels.  Reading each
+solved monomial off at the free levels gives the basis in reduced
+echelon form under the same order: every vector is monic with a distinct
+leading term on the ray, and the basis is unique for the given bound.
 
 There is one sector.  The transpose X^i Y^j -> X^j Y^i (`core.transpose`)
 is an anti-automorphism, so C(P) = transpose(C(transpose(P))), and it maps
@@ -272,26 +277,35 @@ def _ad_matrix_rows(
     """Sparse rows of Q -> [P, Q] on the given column monomials, scaled to integers.
 
     Returns the rows and the target monomial of each row; rows are sorted
-    by their target, highest in the order first.  Each
-    entry uses the commutator rule of `core`: only the lowering terms i >= 1.
+    by their target, highest in the order first, and none is empty.  Each
+    column merges two shifted brackets (module docstring), formed once by
+    the lowering terms i >= 1 of the commutator rule of `core`.
     """
     _, p_terms = _integer_terms(p)
+
+    def bracket(e: int, x_side: bool) -> list[tuple[int, int, int]]:
+        # [P, X^e] or [P, Y^e] as (x, y, integer coefficient) triples
+        acc: dict[Monomial, int] = {}
+        for k, j, c in p_terms:
+            if x_side:  # X^k Y^j X^e - X^e X^k Y^j
+                f, x, y = _factors(j, e), k + e, j
+            else:  # X^k Y^j Y^e - Y^e X^k Y^j
+                f, x, y, c = _factors(e, k), k, j + e, -c
+            for i in range(1, len(f)):
+                key = (x - i, y - i)
+                acc[key] = acc.get(key, 0) + c * f[i]
+        return [(x, y, v) for (x, y), v in acc.items() if v]
+
+    with_x = {a: bracket(a, True) for a in {a for a, _ in columns}}
+    with_y = {b: bracket(b, False) for b in {b for _, b in columns}}
     by_target: dict[Monomial, dict[int, int]] = {}
     for idx, (a, b) in enumerate(columns):
-        for k, j, c in p_terms:
-            pq, qp = _factors(j, a), _factors(b, k)
-            npq, nqp = len(pq), len(qp)
-            for i in range(1, max(npq, nqp)):
-                w = (pq[i] if i < npq else 0) - (qp[i] if i < nqp else 0)
-                if not w:
-                    continue
-                target = (k + a - i, j + b - i)
-                row = by_target.setdefault(target, {})
-                s = row.get(idx, 0) + c * w
-                if s:
-                    row[idx] = s
-                else:
-                    del row[idx]
+        col = {(x, y + b): v for x, y, v in with_x[a]}
+        for x, y, v in with_y[b]:
+            col[x + a, y] = col.get((x + a, y), 0) + v
+        for key, v in col.items():
+            if v:
+                by_target.setdefault(key, {})[idx] = v
     ordered = sorted(by_target, key=_order_key, reverse=True)
     return [by_target[m] for m in ordered], ordered
 
@@ -305,32 +319,59 @@ def _ray_descent(
 ) -> list[dict[Monomial, Fraction]]:
     """Kernel of the ad rows by forward substitution over the ray parameters.
 
-    Parameter l is the coefficient at the ray point l * direction.  A row
-    that meets an unsolved column, or a column left unsolved, contradicts
-    the structure in the module docstring and raises.
+    Parameter l is the coefficient t_l at the ray point l * direction.  A
+    constraint row is eliminated on arrival: with the relations found so
+    far put in, it is solved for its smallest level p.  Solved columns keep
+    the form they were solved in, and an earlier relation that holds t_p
+    takes it only when a row's combination meets that relation.  At the
+    end every column takes all relations, and each free level's basis
+    vector is read off.  A row that meets an unsolved column, or a column
+    left unsolved, contradicts the structure in the module docstring and
+    raises.
     """
     i0, j0 = lead
     di, dj = direction
     index = {m: idx for idx, m in enumerate(columns)}
     # column index -> (integer vector over the levels, positive denominator)
     solved: dict[int, tuple[dict[int, int], int]] = {}
+    free: dict[int, dict[Monomial, Fraction]] = {}  # level -> basis vector
     for idx, (a, b) in enumerate(columns):
         if a * dj == b * di:
-            solved[idx] = ({a // di if di else b // dj: 1}, 1)
+            level = a // di if di else b // dj
+            free[level], solved[idx] = {}, ({level: 1}, 1)
     ray = set(solved)
-    constraints: list[dict[int, int]] = []
+    # level -> t_level as a solved column, and how many relations there were
+    # when it last took the newer ones
+    relations: dict[int, tuple[dict[int, int], int]] = {}
+    seen: dict[int, int] = {}
+
+    def reduced(vec: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+        # vec / den over the levels without a relation, and over its content
+        # when one was put in; a relation it meets first takes the newer ones
+        # (recursion no deeper than the ray levels: t_l holds levels above l)
+        levels = [l for l in vec if l in relations]
+        if not levels:
+            return vec, den
+        for l in levels:
+            if seen[l] < len(relations):
+                relations[l], seen[l] = reduced(*relations[l]), len(relations)
+        s = lcm(*(relations[l][1] for l in levels))
+        out = {l: s * v for l, v in vec.items() if l not in relations}
+        for p in levels:
+            expr, d = relations[p]
+            f = vec[p] * (s // d)
+            for l, v in expr.items():
+                out[l] = out.get(l, 0) + f * v
+        g = gcd(den * s, *out.values())
+        return {l: v // g for l, v in out.items() if v}, den * s // g
+
     for row, (x, y) in zip(rows, targets):
         col = index.get((x - i0 + 1, y - j0 + 1))
         if col in ray:
             col = None  # the top term of a ray column vanishes: a constraint row
-        den = 1
-        for c in row:
-            if c != col:
-                if c not in solved:
-                    raise InternalInconsistencyError(
-                        "descent row meets a column that is not solved yet"
-                    )
-                den = lcm(den, solved[c][1])
+        if any(c not in solved for c in row if c != col):
+            raise InternalInconsistencyError("descent row meets a column that is not solved yet")
+        den = lcm(*(solved[c][1] for c in row if c != col))
         acc: dict[int, int] = {}
         for c, v in row.items():
             if c == col:
@@ -339,10 +380,13 @@ def _ray_descent(
             scale = v * (den // d)
             for l, u in vec.items():
                 acc[l] = acc.get(l, 0) + scale * u
-        acc = {l: u for l, u in acc.items() if u}
+        acc, den = reduced({l: u for l, u in acc.items() if u}, den)
         if col is None:
             if acc:
-                constraints.append(acc)
+                p = min(acc)
+                g = gcd(*acc.values()) * (1 if acc[p] > 0 else -1)
+                relations[p] = ({l: -v // g for l, v in acc.items() if l != p}, acc[p] // g)
+                seen[p] = len(relations)
         else:
             pivot = row.get(col)
             if not pivot:
@@ -352,17 +396,11 @@ def _ray_descent(
             solved[col] = ({l: u // g for l, u in acc.items()}, den // g)
     if len(solved) != len(columns):
         raise InternalInconsistencyError("descent left a column unsolved")
-    vectors = []
-    for params in sparse_kernel(constraints, len(ray)):
-        pden = lcm(*(t.denominator for t in params.values()))
-        pnum = {l: t.numerator * (pden // t.denominator) for l, t in params.items()}
-        vec: dict[Monomial, Fraction] = {}
-        for idx, (coeffs, d) in solved.items():
-            s = sum(u * pnum[l] for l, u in coeffs.items() if l in pnum)
-            if s:
-                vec[columns[idx]] = Fraction(s, d * pden)
-        vectors.append(vec)
-    return vectors
+    for idx, (vec, den) in solved.items():
+        vec, den = reduced(vec, den)
+        for l, u in vec.items():
+            free[l][columns[idx]] = Fraction(u, den)
+    return [free[l] for l in sorted(free) if l not in relations]
 
 
 def _subtract_multiple(target: dict[Monomial, Fraction], ratio: Fraction, row: dict[Monomial, Fraction]) -> None:

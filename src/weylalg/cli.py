@@ -39,13 +39,13 @@ Size limits; past one, SizeLimitError (exit 2):
 At the caps, `pow "X+Y+1" 100` takes 0.4 to 0.5 s, the `gen-pair` of
 'addY:Y^2+Y; addX:X^2-X; addY:Y^5+1; addX:X^5+X' (degree 100, 818
 terms) 0.17 to 0.34 s (median 0.28 s) and 18 MB, and the centralizer of
-Dixmier's L at bound 100 takes 1.7 to 1.9 s and 34 MB, that of
-X + (Y + X^2)^3 2.5 s and 31 MB (process time and peak RSS of the whole
-CLI call, one core of a shared 2-vCPU virtual machine, CPython 3.11); the
-solver's cost also grows with the number of terms of P and with the share
-of the triangle that its Newton polygon covers.  Powers are formed by
-repeated squaring, and every power formed on the way is checked against
-the coefficient limit.
+Dixmier's L at bound 100 takes 1.6 to 2.3 s and 33 MB, that of
+X + (Y + X^2)^3 2.1 to 2.7 s and 30 MB (process time and peak RSS of
+the whole CLI call, one core of a shared 2-vCPU virtual machine, CPython
+3.11); the solver's cost also grows with the number of terms of P and
+with the share of the triangle that its Newton polygon covers.  Powers
+are formed by repeated squaring, and every power formed on the way is
+checked against the coefficient limit.
 
 Exit codes: 0 success, 1 when the computation reports false or empty,
 2 for usage, syntax, or contract errors, 3 for an internal inconsistency

@@ -8,12 +8,12 @@ smallest column index first, then smallest row index among the rows still
 unused, so a column is free exactly when it depends on the columns before
 it.
 
-`sparse_kernel` back-substitutes after it.  It solves the constraints on
-the ray parameters left over by the centralizer descent (one column per
-ray level), and the homogeneous commutation equation (one column per
-coefficient of the unknown polynomial).  `sparse_solvable` checks the
-consistency of the inhomogeneous system of `no_partner_check`, which keeps
-only the unknowns on diagonal 0.  `dense_kernel` takes the kernel of a
+`sparse_kernel` back-substitutes after it.  It solves the homogeneous
+commutation equation (one column per coefficient of the unknown
+polynomial); the centralizer descent eliminates its own ray constraints.
+`sparse_solvable` checks an inhomogeneous system whose right-hand side is
+the last column; only the tests call it, to show by elimination that a
+polynomial in XY has no partner.  `dense_kernel` takes the kernel of a
 derivation on a computed basis: it scales each rational row to integers
 and calls `sparse_kernel`.
 """

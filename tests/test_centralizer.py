@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -46,8 +46,15 @@ from weylalg import (
     transpose,
     weighted_degree,
 )
-from weylalg.centralizer import _monomials_upto, _rref_by_leading
+from weylalg.centralizer import (
+    _ad_matrix_rows,
+    _monomials_upto,
+    _newton_columns,
+    _order_key,
+    _rref_by_leading,
+)
 from weylalg.cli import _parse_script, basis_to_json, parse_element
+from weylalg.core import _factors, _integer_terms
 from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
 
@@ -260,6 +267,34 @@ class TestCentralizerBasis:
                         assert total_degree(gen) > bound
 
 
+def ad_rows_by_columns(p, columns):
+    """The ad rows assembled column by column, each entry by the commutator rule.
+
+    The reference for the shift assembly of `_ad_matrix_rows`: every term of
+    p against every column, over the lowering terms i >= 1.  A target whose
+    contributions all cancel keeps an empty row here.
+    """
+    _, p_terms = _integer_terms(p)
+    by_target = {}
+    for idx, (a, b) in enumerate(columns):
+        for k, j, c in p_terms:
+            pq, qp = _factors(j, a), _factors(b, k)
+            npq, nqp = len(pq), len(qp)
+            for i in range(1, max(npq, nqp)):
+                w = (pq[i] if i < npq else 0) - (qp[i] if i < nqp else 0)
+                if not w:
+                    continue
+                target = (k + a - i, j + b - i)
+                row = by_target.setdefault(target, {})
+                s = row.get(idx, 0) + c * w
+                if s:
+                    row[idx] = s
+                else:
+                    del row[idx]
+    ordered = sorted(by_target, key=_order_key, reverse=True)
+    return [by_target[m] for m in ordered], ordered
+
+
 def full_elimination(rows, targets, columns, lead, direction):
     """The kernel by sparse elimination of the whole ad matrix.
 
@@ -278,10 +313,11 @@ def full_triangle(p, bound):
 
 
 def assert_same_as_full_elimination(p, bound):
-    """The solver against the earlier path: no polygon cut and no descent."""
+    """The solver against the earlier path: no polygon cut, no shifts, no descent."""
     descent = json.dumps(basis_to_json(centralizer_basis(p, bound)))
     with mock.patch.object(weylalg.centralizer, "_ray_descent", full_elimination), \
-            mock.patch.object(weylalg.centralizer, "_newton_columns", full_triangle):
+            mock.patch.object(weylalg.centralizer, "_newton_columns", full_triangle), \
+            mock.patch.object(weylalg.centralizer, "_ad_matrix_rows", ad_rows_by_columns):
         reference = json.dumps(basis_to_json(centralizer_basis(p, bound)))
     assert descent == reference
 
@@ -343,6 +379,62 @@ def mirror_reference(p, bound: int) -> CentralizerBasis:
     )
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@st.composite
+def coprime_denominators(draw, sector):
+    """A sector element whose coefficients have distinct prime denominators."""
+    p = draw(sector_elements(sector))
+    nums = st.integers(-9, 9).filter(bool)
+    return from_terms([(i, j, Fraction(draw(nums), PRIMES[k])) for k, (i, j) in enumerate(p.terms)])
+
+
+def assembly_elements():
+    """x-dominant elements and transposed y-dominant ones, as the solver assembles them."""
+    return st.one_of(
+        sector_elements("x"),
+        sector_elements("y").map(transpose),
+        coprime_denominators("x"),
+        coprime_denominators("y").map(transpose),
+    )
+
+
+def without_empty_rows(rows, targets):
+    kept = [(row, t) for row, t in zip(rows, targets) if row]
+    return [row for row, _ in kept], [t for _, t in kept]
+
+
+class TestAssemblyByShifts:
+    """[P, X^a Y^b] = [P, X^a] Y^b + X^a [P, Y^b] against the column-by-column rule."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(assembly_elements(), st.integers(0, 4), st.booleans())
+    def test_rows_equal_per_column_rows(self, p, extra, in_polygon):
+        bound = total_degree(p) + extra
+        columns = _newton_columns(p, bound) if in_polygon else _monomials_upto(bound)
+        # the shift assembly makes no row for a target whose entries all cancel
+        assert _ad_matrix_rows(p, columns) == without_empty_rows(*ad_rows_by_columns(p, columns))
+
+    @settings(max_examples=40, deadline=None)
+    @given(assembly_elements(), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_columns_are_scaled_commutators(self, p, extra, rnd):
+        columns = _newton_columns(p, total_degree(p) + extra)
+        rows, targets = _ad_matrix_rows(p, columns)
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        for idx in rnd.sample(range(len(columns)), min(5, len(columns))):
+            image = commutator(p, from_terms([(*columns[idx], 1)]))
+            assert {t: row[idx] for row, t in zip(rows, targets) if idx in row} == {
+                m: c * scale for m, c in image.terms.items()
+            }
+
+    def test_dixmier_l_columns(self):
+        columns = _newton_columns(DIXMIER_L, 36)
+        assert _ad_matrix_rows(DIXMIER_L, columns) == without_empty_rows(
+            *ad_rows_by_columns(DIXMIER_L, columns)
+        )
+
+
 class TestYSectorAgainstMirrorReference:
     """The solver reaches the y sector through the transpose; this reference does not."""
 
@@ -364,6 +456,15 @@ class TestYSectorAgainstMirrorReference:
         )
 
 
+@st.composite
+def off_axis_leads(draw):
+    """A leading term X^(a+r) Y^a with a >= 1, such as X^2 Y, above every other diagonal."""
+    a, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rest = draw(weyl_elements(max_exp=3, max_terms=3))
+    rest = from_terms([(i, j, v) for (i, j), v in rest.terms.items() if i - j < r])
+    return rest + from_terms([(a + r, a, draw(_coeffs))])
+
+
 class TestDescentAgainstFullElimination:
     @settings(max_examples=60, deadline=None)
     @given(sector_elements("x"), st.integers(0, 5))
@@ -376,6 +477,12 @@ class TestDescentAgainstFullElimination:
     def test_y_dominant(self, p, extra):
         assume(diag_degree(p) <= 0 < weighted_degree(p, (-1, 1)))
         assert centralizer_basis(p, total_degree(p)).sector == "y"
+        assert_same_as_full_elimination(p, total_degree(p) + extra)
+
+    @settings(max_examples=40, deadline=None)
+    @given(off_axis_leads(), st.integers(0, 5))
+    def test_direction_off_the_x_axis(self, p, extra):
+        assert centralizer_basis(p, total_degree(p)).direction[1] > 0
         assert_same_as_full_elimination(p, total_degree(p) + extra)
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -15,6 +16,7 @@ from weylalg import (
     X,
     Y,
     ZERO,
+    dixmier_pair_from_script,
     from_terms,
     mul,
 )
@@ -24,6 +26,7 @@ from weylalg.cli import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    _parse_script,
     element_to_json,
     format_element,
     format_graded_form,
@@ -336,6 +339,27 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 def test_golden_output(case, capsys):
     code, out, _ = run_cli(case["argv"], capsys)
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+# sha256 of `centralizer --json` stdout at the scale the solver targets,
+# recorded from the per-column assembly and the sparse_kernel descent that
+# the shift assembly and the elimination on arrival replaced; the outputs
+# (621 KB for L) are too large for cli_golden.json
+SOLVER_SCALE_DIGESTS = [
+    ("(Y^2 + X^3 + 1)^2 + 2*X", 60, "a22b083f606e4aa783f5ce60b1096aa6e47c06b37cf83a7b7c88a54a65aab0fb"),
+    ("X + (Y + X^2)^3", 60, "093e6627aa4b78126c64682d15d5934c010fd501058617fd41d39adbef79b611"),
+    ("addY:Y^2+Y; addX:X^3-2*X; addY:Y^3+1", 54, "e45ce7fc8f5f5a34ebb36e8156fa2cd8d900e7c1dc67cffdab222a180334fb16"),
+]
+
+
+@pytest.mark.parametrize("source, bound, digest", SOLVER_SCALE_DIGESTS, ids=["L@60", "P6@60", "pair@54"])
+def test_centralizer_json_at_solver_scale(source, bound, digest, capsys):
+    """A source with a ':' is a script, whose P is solved."""
+    if ":" in source:
+        source = format_element(dixmier_pair_from_script(_parse_script(source)).p)
+    code, out, _ = run_cli(["centralizer", source, "--max-total-degree", str(bound), "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _nested(depth: int) -> str:
