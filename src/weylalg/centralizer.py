@@ -47,6 +47,17 @@ solver uses the same identity on f(XY) Y^g.
 
 Everything returned is re-verified to commute with the caller's P by
 actual multiplication; the linear algebra is never trusted on its own.
+The check is one exact commutator [P, Z], through the dispatch of
+`commutator`, with the basis packed as Z = sum_k 2^(k s) d_k S_k, where
+d_k S_k is the k-th element over the lcm of its denominators.  Each
+coefficient of [d_P P, d_k S_k] is at most a bound B, the product of the
+1-norms of the two operands and the largest lowering factor they meet;
+with 2^(s-1) > B the k-th digit of a coefficient of [d_P P, Z] cannot be
+cancelled by the others, so [P, Z] = 0 exactly when every [P, S_k] = 0
+(`_packed` holds the proof).  Z lives on the union of the supports, so
+the product runs over |P| |supp Z| term pairs instead of
+|P| sum_k |supp S_k|.
+
 Completeness, that nothing outside the region is missed, rests on the
 theorem above.
 
@@ -440,6 +451,37 @@ def _rref_by_leading(vectors: list[dict[Monomial, Fraction]]) -> list[dict[Monom
     return [by_lead[lead] for lead in sorted(by_lead, key=_order_key, reverse=True)]
 
 
+def _packed(p: WeylElement, elems: list[WeylElement]) -> tuple[WeylElement, int]:
+    """(Z, B) with Z = sum_k 2^(k s) d_k S_k: [p, Z] = 0 exactly when all [p, S_k] = 0.
+
+    d_k S_k is S_k in integer form (`core._integer_terms`).  By the monomial
+    rule each term pair of d_P P and d_k S_k adds to a coefficient of their
+    bracket at most once: the product of its two coefficients times a
+    difference of two lowering factors in [0, F].  So every coefficient is
+    at most B = |d_P P|_1 max_k |d_k S_k|_1 F in absolute value, where F is
+    the largest entry of the rows _factors(maxY(P), maxX(S_k)) and
+    _factors(maxY(S_k), maxX(P)) over all k.  The entries grow with both
+    arguments, so the largest exponents give F, but a row's maximum is not
+    always its last entry: _factors(3, 3) = (1, 9, 18, 6).  With
+    2^(s-1) > B, each coefficient of [d_P P, Z] is sum_k 2^(k s) c_k with
+    every |c_k| < 2^(s-1), and its lowest nonzero digit c_k leaves it
+    nonzero modulo 2^((k+1) s).  So [p, Z] = [d_P P, Z] / d_P is 0 exactly
+    when every digit is 0.
+    """
+    _, p_terms = _integer_terms(p)
+    forms = [_integer_terms(e)[1] for e in elems]
+    x_s, y_s = (max(t[n] for terms in forms for t in terms) for n in (0, 1))
+    x_p, y_p = (max(t[n] for t in p_terms) for n in (0, 1))
+    f = max(_factors(y_p, x_s) + _factors(y_s, x_p))
+    bound = sum(abs(c) for *_, c in p_terms) * max(sum(abs(c) for *_, c in t) for t in forms) * f
+    s = bound.bit_length() + 1
+    acc: dict[Monomial, int] = {}
+    for k, terms in enumerate(forms):
+        for i, j, c in terms:
+            acc[i, j] = acc.get((i, j), 0) + (c << k * s)
+    return WeylElement._raw({m: Fraction(v) for m, v in acc.items() if v}), bound
+
+
 def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     """All elements commuting with p of total degree at most `bound`."""
     if in_xy_subalgebra(p):
@@ -474,9 +516,8 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     if sector == "y":
         by_level = {l: transpose(e) for l, e in by_level.items()}
         direction = (dj, di)
-    for elem in by_level.values():
-        if commutator(p, elem):
-            raise InternalInconsistencyError("kernel vector does not commute exactly")
+    if commutator(p, _packed(p, list(by_level.values()))[0]):
+        raise InternalInconsistencyError("kernel vector does not commute exactly")
     return CentralizerBasis(
         element=p,
         bound=bound,
@@ -531,8 +572,9 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     leading ray coefficient with the unique monic product S_0^m * S_r of
     the same degree, which lowers the degree strictly.
     """
-    if expand_in_basis(basis, q) is None:
-        raise MembershipError("element is not in the computed centralizer span")
+    # the leading ray level and coefficient of the residual, carried from the
+    # strict-descent check of one step to the next
+    lead = _lead_coeff_on_ray(basis, q) if q else None
     period = basis.period
     if basis.picks and any(s is None for s in basis.picks):
         raise BoundError("basis is truncated: some residue classes have no pick")
@@ -544,7 +586,7 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
             break
         if not basis.picks:
             raise BoundError("basis is truncated: no nonconstant pick available")
-        level, lam = _lead_coeff_on_ray(basis, residual)
+        level, lam = lead
         deg = basis.ray_degrees[level]
         residue = deg % period
         s0 = basis.picks[0]
@@ -563,8 +605,8 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
         coeffs[residue][m] = coeffs[residue].get(m, Fraction(0)) + lam
         residual = residual - lam * factor
         if residual and not residual.is_scalar():
-            new_level, _ = _lead_coeff_on_ray(basis, residual)
-            if new_level >= level:
+            lead = _lead_coeff_on_ray(basis, residual)
+            if lead[0] >= level:
                 raise InternalInconsistencyError("leading elimination failed to lower the degree")
     out = []
     for acc in coeffs:

@@ -64,15 +64,16 @@ linear and quadratic elements, and random sparse elements with up to 150
 terms.  Below an estimate ratio of 1.5, sampling was faster on all 11
 pairs, by 1.1 to 14 times; between 1.5 and 4 it was faster on 18 of 25,
 by at most 2.2 times, and up to 1.4 times slower on the rest; above 4 it
-was slower on 20 of 25.  At 2.0 the centralizer's re-verification, L or
-P6 against a basis element at ratios 3.5 to 7.6, stays on the monomial
-rule.  Process times (CPython 3.11, one core of a shared virtual machine):
+was slower on 20 of 25.  At 2.0 the centralizer's re-verification, one
+call of L or P6 against the packed basis at bounds 36 to 60 (ratios 3.6
+to 6.7), stays on the monomial rule.  Process times (CPython 3.11, one
+core of a shared virtual machine):
 
     operands (terms)                              monomial, s    sampled, s
     [Q, P] of the degree-54 gen-pair (67 x 679)   0.14-0.21      0.020-0.029
     (X+Y+1)^14 (X-2Y+3)^14 (120 x 120)            0.026-0.041    0.008-0.011
     [(X+Y+1)^20, (X-2Y+3)^20] (231 x 231)         0.23-0.31      0.018-0.034
-    [L, basis element] at bound 36 (8 x 276)      0.0044-0.0062  0.0050-0.0068
+    [L, packed basis] at bound 36 (8 x 359)       0.0091-0.0095  0.0092
 
 The monomial rule stays: it is also the row rule of the centralizer's
 matrix assembly (`_factors`), it is cheaper on small and lopsided

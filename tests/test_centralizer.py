@@ -5,15 +5,17 @@ from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import weylalg.centralizer
+import weylalg.core
 from weylalg import (
     BoundError,
     CentralizerBasis,
     ComponentKind,
     GradedForm,
+    InternalInconsistencyError,
     MembershipError,
     NotHomogeneousError,
     ONE,
@@ -51,9 +53,10 @@ from weylalg.centralizer import (
     _monomials_upto,
     _newton_columns,
     _order_key,
+    _packed,
     _rref_by_leading,
 )
-from weylalg.cli import _parse_script, basis_to_json, parse_element
+from weylalg.cli import _parse_script, basis_to_json, main, parse_element
 from weylalg.core import _factors, _integer_terms
 from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
@@ -265,6 +268,86 @@ class TestCentralizerBasis:
                     if component.kind is ComponentKind.LINE:
                         gen = from_graded_form(component.generator)
                         assert total_degree(gen) > bound
+
+
+
+def corrupted_descent(offsets: dict[int, Fraction]):
+    """A `_ray_descent` that adds offsets[n] to vector n at one off-ray monomial.
+
+    The monomial is the first column of the region, off the ray, below the
+    leading term of every corrupted vector and outside their supports, so the
+    vectors still pass the solver's leading-term checks and only the exact
+    re-verification can tell.
+    """
+    descent = weylalg.centralizer._ray_descent
+
+    def corrupting(rows, targets, columns, lead, direction):
+        vectors = descent(rows, targets, columns, lead, direction)
+        chosen = [vectors[n] for n in offsets]
+        floor = min(_order_key(max(vec, key=_order_key)) for vec in chosen)
+        di, dj = direction
+        spot = next(
+            (a, b)
+            for a, b in columns
+            if a * dj != b * di
+            and _order_key((a, b)) < floor
+            and all((a, b) not in vec for vec in chosen)
+        )
+        for n, c in offsets.items():
+            vectors[n][spot] = c
+        return vectors
+
+    return corrupting
+
+
+DIXMIER_L_MIRROR = transpose(DIXMIER_L)
+CORRUPTIONS = {"one vector": {-1: Fraction(1, 7)}, "two opposite": {-1: Fraction(3), -2: Fraction(-3)}}
+
+
+class TestReverificationCatchesCorruption:
+    """The packed re-verification raises on a basis the solver got wrong, on either kernel."""
+
+    @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "monomial-rule"])
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @pytest.mark.parametrize("p", [DIXMIER_L, DIXMIER_L_MIRROR], ids=["x-sector", "y-sector"])
+    def test_corrupted_basis_raises(self, p, corruption, sampled, monkeypatch):
+        assert centralizer_basis(p, 18).dimension >= 3
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_descent(CORRUPTIONS[corruption]))
+        monkeypatch.setattr(weylalg.core, "_sampled_pays", lambda a, b, bracket: sampled)
+        with pytest.raises(InternalInconsistencyError, match="does not commute"):
+            centralizer_basis(p, 18)
+
+    def test_corrupted_basis_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_descent(CORRUPTIONS["one vector"]))
+        assert main(["centralizer", "(Y^2 + X^3 + 1)^2 + 2*X", "--max-total-degree", "18"]) == 3
+        assert "internal inconsistency" in capsys.readouterr().err
+
+
+@st.composite
+def packing_cases(draw):
+    """P and nonzero elements: powers of P, alone or mixed with arbitrary elements."""
+    p = draw(weyl_elements(max_exp=4, max_terms=4, nonzero=True))
+    elems = [power(p, m) for m in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))]
+    elems += draw(st.lists(weyl_elements(max_exp=4, max_terms=4, nonzero=True), max_size=3))
+    return p, draw(st.permutations(elems))
+
+
+class TestPackingLemma:
+    @settings(max_examples=60, deadline=None)
+    @given(packing_cases())
+    @example((power(Y, 3), [power(X, 3)]))  # _factors(3, 3) = (1, 9, 18, 6) peaks at i = 2
+    @example((X * power(Y, 3), [ONE, power(X, 3) * Y, power(X, 2)]))
+    @example((DIXMIER_L, centralizer_basis(DIXMIER_L, 18).elements()))
+    @example((DIXMIER_L, centralizer_basis(DIXMIER_L, 18).elements() + [X]))
+    def test_digits_within_bound_and_zero_exactly_when_all_commute(self, case):
+        p, elems = case
+        packed, bound = _packed(p, elems)
+        d_p, _ = _integer_terms(p)
+        brackets = [commutator(p, e) for e in elems]
+        for e, bracket in zip(elems, brackets):
+            scale = d_p * _integer_terms(e)[0]
+            assert all(abs(c * scale) <= bound for c in bracket.terms.values())
+        assert (commutator(p, packed) == ZERO) == all(b == ZERO for b in brackets)
 
 
 def ad_rows_by_columns(p, columns):

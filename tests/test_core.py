@@ -22,6 +22,7 @@ from weylalg import (
     total_degree,
     transpose,
 )
+from weylalg.centralizer import _packed
 from weylalg.cli import _parse_script, main, parse_element
 from weylalg.core import _commutator_direct, _mul_direct, _read_back, _sampled, _sampled_pays
 from weylalg.derivation import dixmier_pair_from_script
@@ -326,6 +327,12 @@ def test_dispatch_keeps_small_operands_and_the_reverification_on_the_monomial_ru
     basis = centralizer_basis(dixmier_l, 36)
     assert max(len(e.terms) for e in basis.elements()) * len(dixmier_l.terms) >= 1000
     assert not any(_sampled_pays(dixmier_l, e, True) for e in basis.elements())
+    # the re-verification makes one packed call on the union of the supports:
+    # 8 x 359 term pairs against 8 x 1101 for one call per element
+    packed, _ = _packed(dixmier_l, basis.elements())
+    assert sum(len(e.terms) for e in basis.elements()) == 1101
+    assert len(dixmier_l.terms) * len(packed.terms) == 8 * 359
+    assert not _sampled_pays(dixmier_l, packed, True)
 
 
 class TestReadBack:

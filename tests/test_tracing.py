@@ -57,6 +57,8 @@ def test_install_then_uninstall_restores_every_function():
     finally:
         tracer.uninstall()
     assert tracer.stats["centralizer.basis"][0] == 2
+    # one packed re-verification per basis
+    assert tracer.stats["centralizer.verify"][0] == 2
     after = _package_namespaces()
     assert after.keys() == before.keys()
     for name, namespace in before.items():
