@@ -38,12 +38,33 @@ solved monomial off at the free levels gives the basis in reduced
 echelon form under the same order: every vector is monic with a distinct
 leading term on the ray, and the basis is unique for the given bound.
 
-There is one sector.  The transpose X^i Y^j -> X^j Y^i (`core.transpose`)
-is an anti-automorphism, so C(P) = transpose(C(transpose(P))), and it maps
-the mirror order (j - i first, then the Y exponent) onto the plain one.  A
-P of positive mirror degree is therefore solved as transpose(P), and its
-basis is the transposed basis with the direction swapped; the homogeneous
-solver uses the same identity on f(XY) Y^g.
+There is one sector, and there are two sides.  The transpose
+X^i Y^j -> X^j Y^i (`core.transpose`) is an anti-automorphism, so
+C(P) = transpose(C(transpose(P))), and it maps the mirror order (j - i
+first, then the Y exponent) onto the plain one.  The sector fixes the
+canonical order: an x-dominant P is solved as q = P, a y-dominant one as
+q = transpose(P), whose basis is then transposed back with the direction
+swapped; the homogeneous solver uses the same identity on f(XY) Y^g.  The
+side is the element the descent runs on: q, or transpose(q), which sweeps
+q from its lowest diagonal with its parameters on the mirror ray.
+Dixmier's theorem holds for (-1, 1) as for (1, -1), so both sides see the
+same region: N(transpose q) is the transpose of N(q), and its edge normals
+are those of N(q) with rho and sigma exchanged, so the region of
+transpose(q) is the transpose of the region of q, and both rays are
+counted on the one region in O(columns).  The mirror side is taken when
+transpose(q) is x-dominant with a single monomial on its top diagonal
+(never for a homogeneous q) and its ray holds strictly fewer points of the
+region.  Dixmier's L and X + (Y + X^2)^3 take it; on the latter the
+descent's pivots c0 (j0 a - i0 b) are -3b there against -6b on the plain
+side, and its intermediate coefficients stay near the size of the answer
+instead of growing along the chains.  The mirror side's vectors,
+transposed back, span the same kernel, reduced in the mirror order, and
+`_rebased` brings them to q's order by one integer change of basis.  The
+result is the unique reduced basis: the leading term of a kernel element
+in q's order is its highest nonzero ray point, so the pivot levels of a
+Gauss-Jordan elimination over the ray coordinates, by descending level,
+are the leading levels, and for each of them exactly one element of the
+span is 1 there and 0 at the others.
 
 Everything returned is re-verified to commute with the caller's P by
 actual multiplication; the linear algebra is never trusted on its own.
@@ -92,6 +113,7 @@ from .leading import (
     diag_degree,
     in_xy_subalgebra,
     is_x_dominant,
+    leading_form,
     leading_weight,
     newton_edges,
     primitive_direction,
@@ -482,6 +504,86 @@ def _packed(p: WeylElement, elems: list[WeylElement]) -> tuple[WeylElement, int]
     return WeylElement._raw({m: Fraction(v) for m, v in acc.items() if v}), bound
 
 
+def _mirror_side(q: WeylElement, columns: list[Monomial], direction: Weight) -> bool:
+    """Whether the descent runs on transpose(q) rather than on q.
+
+    That side is usable when transpose(q) is x-dominant with a single
+    monomial on its top diagonal, and it is taken when its ray holds
+    strictly fewer points of the region.  Both rays are counted on q's
+    region, whose transpose is the region of transpose(q).
+    """
+    m = transpose(q)
+    if not is_x_dominant(m) or len(leading_form(m).terms) != 1:
+        return False
+    (mi, mj), _ = primitive_direction(m)
+    di, dj = direction
+    plain = sum(1 for a, b in columns if a * dj == b * di)
+    return sum(1 for a, b in columns if b * mj == a * mi) < plain
+
+
+def _rebased(vectors: list[dict[Monomial, Fraction]], direction: Weight) -> list[dict[Monomial, Fraction]]:
+    """The span of the vectors in reduced echelon form along the ray of `direction`.
+
+    Each vector is taken in integer form, and its coefficients at the ray
+    points make one row of a k x levels matrix, which carries the row's
+    combination of the vectors.  Fraction-free Gauss-Jordan on it, columns
+    by descending level, leaves one pivot per leading level; the vector of
+    that level is its row's integer combination over the pivot, so it is
+    monic on its own ray point and 0 on the other leading ones.
+    """
+    di, dj = direction
+    forms, rows = [], []
+    for n, vec in enumerate(vectors):
+        den = lcm(*(v.denominator for v in vec.values()))
+        forms.append({m: v.numerator * (den // v.denominator) for m, v in vec.items()})
+        ray = {(a // di if di else b // dj): v for (a, b), v in forms[-1].items() if a * dj == b * di}
+        rows.append((ray, {n: 1}))
+    pivots: dict[int, int] = {}  # leading level -> its row
+    for level in sorted({l for ray, _ in rows for l in ray}, reverse=True):
+        used = set(pivots.values())
+        n = next((n for n, (ray, _) in enumerate(rows) if n not in used and ray.get(level)), None)
+        if n is None:
+            continue
+        pivots[level] = n
+        p_ray, p_comb = rows[n]
+        a = p_ray[level]
+        for r, (ray, comb) in enumerate(rows):
+            b = ray.get(level)
+            if r != n and b:
+                ray = {l: a * ray.get(l, 0) - b * p_ray.get(l, 0) for l in ray.keys() | p_ray.keys()}
+                comb = {k: a * comb.get(k, 0) - b * p_comb.get(k, 0) for k in comb.keys() | p_comb.keys()}
+                g = gcd(*ray.values(), *comb.values())
+                rows[r] = ({l: v // g for l, v in ray.items() if v}, {k: v // g for k, v in comb.items() if v})
+    if len(pivots) != len(vectors):
+        raise InternalInconsistencyError("the descent's vectors are linearly dependent")
+    out = []
+    for level in sorted(pivots):
+        ray, comb = rows[pivots[level]]
+        acc: dict[Monomial, int] = {}
+        for n, c in comb.items():
+            for m, v in forms[n].items():
+                acc[m] = acc.get(m, 0) + c * v
+        out.append({m: Fraction(v, ray[level]) for m, v in acc.items() if v})
+    return out
+
+
+def _reduced_kernel(q: WeylElement, columns: list[Monomial], direction: Weight) -> list[dict[Monomial, Fraction]]:
+    """The kernel of [q, -] on the columns, reduced along q's ray `direction`.
+
+    On the mirror side the descent runs on transpose(q) over the transposed
+    region, and its vectors, transposed back, are rebased onto q's ray.
+    """
+    mirror = _mirror_side(q, columns, direction)
+    side = transpose(q) if mirror else q
+    if mirror:
+        columns = sorted(((b, a) for a, b in columns), key=_order_key, reverse=True)
+    rows, targets = _ad_matrix_rows(side, columns)
+    vectors = _ray_descent(rows, targets, columns, leading_weight(side), primitive_direction(side)[0])
+    if not mirror:
+        return vectors
+    return _rebased([{(b, a): v for (a, b), v in vec.items()} for vec in vectors], direction)
+
+
 def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     """All elements commuting with p of total degree at most `bound`."""
     if in_xy_subalgebra(p):
@@ -499,11 +601,10 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     q = p if sector == "x" else transpose(p)
     direction, _ = primitive_direction(q)
     columns = _newton_columns(q, bound)
-    rows, targets = _ad_matrix_rows(q, columns)
 
     di, dj = direction
     by_level: dict[int, WeylElement] = {}
-    for vec in _ray_descent(rows, targets, columns, leading_weight(q), direction):
+    for vec in _reduced_kernel(q, columns, direction):
         lead = max(vec, key=_order_key)
         level = lead[0] // di if di else lead[1] // dj
         if lead != (level * di, level * dj) or vec[lead] != 1 or level in by_level:

@@ -39,11 +39,12 @@ Size limits; past one, SizeLimitError (exit 2):
 At the caps, `pow "X+Y+1" 100` takes 0.4 to 0.5 s, the `gen-pair` of
 'addY:Y^2+Y; addX:X^2-X; addY:Y^5+1; addX:X^5+X' (degree 100, 818
 terms) 0.17 to 0.34 s (median 0.28 s) and 18 MB, and the centralizer of
-Dixmier's L at bound 100 takes 1.6 to 2.3 s and 33 MB, that of
-X + (Y + X^2)^3 2.1 to 2.7 s and 30 MB (process time and peak RSS of
-the whole CLI call, one core of a shared 2-vCPU virtual machine, CPython
-3.11); the solver's cost also grows with the number of terms of P and
-with the share of the triangle that its Newton polygon covers.  Powers
+Dixmier's L at bound 100 takes 1.2 to 1.6 s (median 1.4 s) and 59 MB,
+that of X + (Y + X^2)^3 0.6 to 1.0 s (median 0.8 s) and 37 MB (process
+time and peak RSS, as ru_maxrss, of the whole CLI call with `--json`, ten
+runs, one core of a shared 2-vCPU virtual machine, CPython 3.11); the
+solver's cost also grows with the number of terms of P and with the
+share of the triangle that its Newton polygon covers.  Powers
 are formed by repeated squaring, and every power formed on the way is
 checked against the coefficient limit.
 

@@ -1,5 +1,6 @@
 import json
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -36,10 +37,12 @@ from weylalg import (
     from_terms,
     homogeneous_centralizer_component,
     is_monomial_algebra_embedding,
+    is_x_dominant,
     leading_form,
     leading_term,
     mul,
     power,
+    primitive_direction,
     random_script,
     ray_degree,
     recompose,
@@ -50,6 +53,7 @@ from weylalg import (
 )
 from weylalg.centralizer import (
     _ad_matrix_rows,
+    _mirror_side,
     _monomials_upto,
     _newton_columns,
     _order_key,
@@ -271,6 +275,30 @@ class TestCentralizerBasis:
 
 
 
+def canonical(p):
+    """The element the solver works on: p in the x sector, transpose(p) in the y sector."""
+    return p if diag_degree(p) > 0 else transpose(p)
+
+
+def mirror_usable(q) -> bool:
+    """transpose(q) is x-dominant with a single monomial on its top diagonal."""
+    m = transpose(q)
+    return is_x_dominant(m) and len(leading_form(m).terms) == 1
+
+
+def chosen_side(p, bound: int) -> str:
+    q = canonical(p)
+    return "mirror" if _mirror_side(q, _newton_columns(q, bound), primitive_direction(q)[0]) else "plain"
+
+
+def on_side(side: str):
+    """Patch the side choice: always the plain side, or always the mirror side."""
+    return mock.patch.object(weylalg.centralizer, "_mirror_side", lambda q, columns, direction: side == "mirror")
+
+
+SIDES = ["plain", "mirror"]
+
+
 def corrupted_descent(offsets: dict[int, Fraction]):
     """A `_ray_descent` that adds offsets[n] to vector n at one off-ray monomial.
 
@@ -321,6 +349,36 @@ class TestReverificationCatchesCorruption:
         monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_descent(CORRUPTIONS["one vector"]))
         assert main(["centralizer", "(Y^2 + X^3 + 1)^2 + 2*X", "--max-total-degree", "18"]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @pytest.mark.parametrize("p", [DIXMIER_L, DIXMIER_L_MIRROR], ids=["x-sector", "y-sector"])
+    @pytest.mark.parametrize("side", SIDES)
+    def test_corrupted_basis_raises_on_each_side(self, side, p, corruption, monkeypatch):
+        """On the mirror side the corrupted vector goes through the change of basis first."""
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_descent(CORRUPTIONS[corruption]))
+        with on_side(side), pytest.raises(InternalInconsistencyError, match="does not commute"):
+            centralizer_basis(p, 18)
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_corrupted_basis_exits_3_on_each_side(self, side, capsys, monkeypatch):
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_descent(CORRUPTIONS["one vector"]))
+        with on_side(side):
+            assert main(["centralizer", "(Y^2 + X^3 + 1)^2 + 2*X", "--max-total-degree", "18"]) == 3
+        assert "internal inconsistency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [DIXMIER_L, DIXMIER_L_MIRROR], ids=["x-sector", "y-sector"])
+    def test_duplicated_mirror_vector_raises(self, p, monkeypatch):
+        """A mirror vector given twice leaves the change of basis one pivot short."""
+        descent = weylalg.centralizer._ray_descent
+
+        def duplicating(*args):
+            vectors = descent(*args)
+            vectors[-1] = dict(vectors[-2])
+            return vectors
+
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", duplicating)
+        with on_side("mirror"), pytest.raises(InternalInconsistencyError, match="linearly dependent"):
+            centralizer_basis(p, 18)
 
 
 @st.composite
@@ -395,12 +453,19 @@ def full_triangle(p, bound):
     return _monomials_upto(bound)
 
 
-def assert_same_as_full_elimination(p, bound):
-    """The solver against the earlier path: no polygon cut, no shifts, no descent."""
-    descent = json.dumps(basis_to_json(centralizer_basis(p, bound)))
+def assert_same_as_full_elimination(p, bound, side=None):
+    """The solver against the earlier path: no polygon cut, no shifts, no descent.
+
+    `side` forces the side the solver takes; by default it chooses.  The
+    reference always eliminates on the plain side, so it needs no change
+    of basis.
+    """
+    with on_side(side) if side else nullcontext():
+        descent = json.dumps(basis_to_json(centralizer_basis(p, bound)))
     with mock.patch.object(weylalg.centralizer, "_ray_descent", full_elimination), \
             mock.patch.object(weylalg.centralizer, "_newton_columns", full_triangle), \
-            mock.patch.object(weylalg.centralizer, "_ad_matrix_rows", ad_rows_by_columns):
+            mock.patch.object(weylalg.centralizer, "_ad_matrix_rows", ad_rows_by_columns), \
+            on_side("plain"):
         reference = json.dumps(basis_to_json(centralizer_basis(p, bound)))
     assert descent == reference
 
@@ -410,15 +475,15 @@ def sector_elements(draw, sector):
     """Elements of one sector: a term above the main diagonal on that side.
 
     In the x sector the other terms are arbitrary; in the y sector they keep
-    X^i Y^j with i <= j, so the element is not x-dominant.
+    X^i Y^j with i <= j, so the element is not x-dominant.  The other terms
+    never sit on that term's monomial, so it cannot cancel.
     """
     a, r = draw(st.integers(0, 2)), draw(st.integers(1, 3))
     rest = draw(weyl_elements(max_exp=3, max_terms=3))
     c = draw(_coeffs)
-    if sector == "x":
-        return rest + from_terms([(a + r, a, c)])
-    rest = from_terms([(i, j, v) for (i, j), v in rest.terms.items() if i <= j])
-    return rest + from_terms([(a, a + r, c)])
+    top = (a + r, a) if sector == "x" else (a, a + r)
+    keep = [(i, j, v) for (i, j), v in rest.terms.items() if (i, j) != top and (sector == "x" or i <= j)]
+    return from_terms(keep + [(*top, c)])
 
 
 def mirror_reference(p, bound: int) -> CentralizerBasis:
@@ -633,6 +698,77 @@ class TestPolygonAgainstFullTriangle:
 
     def test_dixmier_l_period_two(self):
         assert_same_as_full_elimination(DIXMIER_L, 27)
+
+
+PAIR18 = "addY:Y^2+Y; addX:X^3-2*X; addY:Y^3+1"
+
+
+class TestEachSideAgainstFullElimination:
+    """Each side forced, against plain-side elimination of the whole triangle.
+
+    The mirror side runs the descent on the transpose and rebases its
+    vectors; it is only forced where it is usable.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            sector_elements("x"),
+            sector_elements("y"),
+            monomial_leading_forms(),
+            dixmier_family(),
+            script_pairs(),
+        ),
+        st.integers(0, 6),
+    )
+    @pytest.mark.parametrize("side", SIDES)
+    def test_same_basis(self, side, p, extra):
+        assume(not in_xy_subalgebra(p))
+        assume(side == "plain" or mirror_usable(canonical(p)))
+        assert_same_as_full_elimination(p, total_degree(p) + extra, side)
+
+    @pytest.mark.parametrize(
+        "script, bound",
+        [
+            ("addY:Y^2; addX:X^2", 12),
+            ("fourier; addY:Y^3; addX:X^3", 9),
+            ("fourier; addX:X^2; addY:Y^2", 12),
+            ("fourier; addX:X^3; addY:Y^2", 18),
+        ],
+    )
+    @pytest.mark.parametrize("side", SIDES)
+    def test_script_pairs(self, side, script, bound):
+        p = dixmier_pair_from_script(_parse_script(script)).p
+        assert mirror_usable(canonical(p))
+        assert_same_as_full_elimination(p, bound, side)
+
+
+class TestSideChoice:
+    """The mirror side is taken when usable and its ray holds fewer points of the region."""
+
+    @pytest.mark.parametrize("text", ["(Y^2 + X^3 + 1)^2 + 2*X", "X + (Y + X^2)^3"], ids=["L", "P6"])
+    def test_mirror_at_36(self, text):
+        assert chosen_side(parse_element(text), 36) == "mirror"
+
+    def test_pair18_stays_plain(self):
+        p = dixmier_pair_from_script(_parse_script(PAIR18)).p
+        assert mirror_usable(canonical(p))
+        assert chosen_side(p, 54) == "plain"
+
+    def test_homogeneous_stays_plain(self):
+        p = parse_element("X^4*Y^2 + X^3*Y + 2*X^2")
+        assert not mirror_usable(p)
+        assert chosen_side(p, 30) == "plain"
+
+    def test_non_monomial_mirror_form_stays_plain(self):
+        # the lowest diagonal holds Y^2 + X Y^3; the mirror ray, through X Y^3,
+        # has fewer points of the region than the plain ray X^a
+        q = parse_element("X^3 + Y^2 + X*Y^3")
+        columns = _newton_columns(q, 12)
+        assert sum(b == 3 * a for a, b in columns) < sum(b == 0 for a, b in columns)
+        assert not mirror_usable(q)
+        assert chosen_side(q, 12) == "plain"
+        assert_same_as_full_elimination(q, 12)
 
 
 class TestRayDegree:

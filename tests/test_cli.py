@@ -349,10 +349,14 @@ SOLVER_SCALE_DIGESTS = [
     ("(Y^2 + X^3 + 1)^2 + 2*X", 60, "a22b083f606e4aa783f5ce60b1096aa6e47c06b37cf83a7b7c88a54a65aab0fb"),
     ("X + (Y + X^2)^3", 60, "093e6627aa4b78126c64682d15d5934c010fd501058617fd41d39adbef79b611"),
     ("addY:Y^2+Y; addX:X^3-2*X; addY:Y^3+1", 54, "e45ce7fc8f5f5a34ebb36e8156fa2cd8d900e7c1dc67cffdab222a180334fb16"),
+    ("(Y^2 + X^3 + 1)^2 + 2*X", 100, "d9cadef192be53858ecf5efc9209d86d26933a875a88a66fb735db23bfb856f5"),
+    ("X + (Y + X^2)^3", 100, "c6615465ae31285e7ea39591215524106f2b5544bef10d51fe6d9f70a704894a"),
 ]
 
 
-@pytest.mark.parametrize("source, bound, digest", SOLVER_SCALE_DIGESTS, ids=["L@60", "P6@60", "pair@54"])
+@pytest.mark.parametrize(
+    "source, bound, digest", SOLVER_SCALE_DIGESTS, ids=["L@60", "P6@60", "pair@54", "L@100", "P6@100"]
+)
 def test_centralizer_json_at_solver_scale(source, bound, digest, capsys):
     """A source with a ':' is a script, whose P is solved."""
     if ":" in source:
