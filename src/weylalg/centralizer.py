@@ -1,14 +1,14 @@
 """Centralizer computation up to a total-degree bound.
 
-Two solvers live here.  For homogeneous elements, commutation reduces to a
-functional equation between shifted polynomials in XY, solved exactly on
-integer rows; the solution space in each homogeneity degree has dimension
-at most one.
+One solver lives here: the kernel of Q -> [P, Q] on a set of monomials,
+assembled by exponent shifts and found by a descent along the primitive
+ray.  `centralizer_basis` runs it on a region of the Newton polygon and
+`homogeneous_centralizer_component` on one diagonal.
 
-For a general element P of positive diagonal degree, the general solver
-finds the kernel of Q -> [P, Q] on the monomials of total degree at most D
-that lie in (D / deg P) N(P), where N(P) is the Newton polygon, the convex
-hull of the support of P and the origin.  That region is complete by
+For an element P of positive diagonal degree, `centralizer_basis` finds
+the kernel on the monomials of total degree at most D that lie in
+(D / deg P) N(P), where N(P) is the Newton polygon, the convex hull of
+the support of P and the origin.  That region is complete by
 Dixmier's theorem (Dixmier 1968, used throughout by Guccione, Guccione and
 Valqui): for commuting P and Q and every weight (rho, sigma) with
 rho + sigma >= 0, the (rho, sigma)-leading forms satisfy
@@ -38,13 +38,21 @@ solved monomial off at the free levels gives the basis in reduced
 echelon form under the same order: every vector is monic with a distinct
 leading term on the ray, and the basis is unique for the given bound.
 
+A homogeneous P of diagonal degree r > 0 is X^r f(XY), and [P, -] maps
+diagonal g to diagonal g + r, so its centralizer splits into components,
+one per diagonal.  Diagonal g > 0 meets the primitive ray (di, dj) in one
+point when di - dj divides g, at level g / (di - dj), and in none
+otherwise.  The descent over the monomials of the diagonal up to that
+point has that single parameter: it returns one vector, monic at the ray
+point, or none, so a component is a line or empty.
+
 There is one sector, and there are two sides.  The transpose
 X^i Y^j -> X^j Y^i (`core.transpose`) is an anti-automorphism, so
 C(P) = transpose(C(transpose(P))), and it maps the mirror order (j - i
 first, then the Y exponent) onto the plain one.  The sector fixes the
 canonical order: an x-dominant P is solved as q = P, a y-dominant one as
 q = transpose(P), whose basis is then transposed back with the direction
-swapped; the homogeneous solver uses the same identity on f(XY) Y^g.  The
+swapped; the homogeneous solver uses the same identity on X^g f(XY).  The
 side is the element the descent runs on: q, or transpose(q), which sweeps
 q from its lowest diagonal with its parameters on the mirror ray.
 Dixmier's theorem holds for (-1, 1) as for (1, -1), so both sides see the
@@ -52,12 +60,13 @@ same region: N(transpose q) is the transpose of N(q), and its edge normals
 are those of N(q) with rho and sigma exchanged, so the region of
 transpose(q) is the transpose of the region of q, and both rays are
 counted on the one region in O(columns).  The mirror side is taken when
-transpose(q) is x-dominant with a single monomial on its top diagonal
-(never for a homogeneous q) and its ray holds strictly fewer points of the
-region.  Dixmier's L and X + (Y + X^2)^3 take it; on the latter the
-descent's pivots c0 (j0 a - i0 b) are -3b there against -6b on the plain
-side, and its intermediate coefficients stay near the size of the answer
-instead of growing along the chains.  The mirror side's vectors,
+transpose(q) is x-dominant (never for a homogeneous q) and its ray holds
+strictly fewer points of the region: the descent asks no more of
+transpose(q) than of q on the plain side.  Dixmier's L and
+X + (Y + X^2)^3 take it; on the latter the descent's pivots
+c0 (j0 a - i0 b) are -3b there against -6b on the plain side, and its
+intermediate coefficients stay near the size of the answer instead of
+growing along the chains.  The mirror side's vectors,
 transposed back, span the same kernel, reduced in the mirror order, and
 `_rebased` brings them to q's order by one integer change of basis.  The
 result is the unique reduced basis: the leading term of a kernel element
@@ -107,18 +116,23 @@ from .errors import (
     NotHomogeneousError,
     WrongSectorError,
 )
-from .graded import GradedForm, XYPolynomial, from_graded_form, is_homogeneous, to_graded_form
+from .graded import (
+    GradedForm,
+    XYPolynomial,
+    evaluate_at_element,
+    from_graded_form,
+    is_homogeneous,
+    to_graded_form,
+)
 from .leading import (
     Weight,
     diag_degree,
     in_xy_subalgebra,
     is_x_dominant,
-    leading_form,
     leading_weight,
     newton_edges,
     primitive_direction,
 )
-from .linalg import sparse_kernel
 
 Sector = Literal["x", "y"]
 
@@ -137,49 +151,14 @@ class CentralizerComponent:
     generator: GradedForm | None = None
 
 
-def _functional_line(f: XYPolynomial, step_g: int, step_f: int, deg: int) -> XYPolynomial | None:
-    """Monic g with g(Z) f(Z + step_f) = g(Z + step_g) f(Z), of degree deg.
-
-    Returns None when only g = 0 solves the equation.  The solution space is
-    at most a line and any nonzero solution has degree exactly deg; either
-    failing would contradict the alignment constraint, so both are treated
-    as internal errors.
-    """
-    # column m is Z^m f(Z + step_f) - (Z + step_g)^m f(Z), scaled to integers;
-    # shifting by an integer keeps the denominators of f
-    den = lcm(*(c.denominator for c in f.coeffs))
-    plain = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    shifted = [c.numerator * (den // c.denominator) for c in f.shift(step_f).coeffs]
-    rows: list[dict[int, int]] = [{} for _ in range(deg + len(plain))]
-    zpow = [1]  # ascending coefficients of (Z + step_g)^m
-    for m in range(deg + 1):
-        col = [0] * len(rows)
-        for t, c in enumerate(shifted):
-            col[t + m] += c
-        for s, a in enumerate(zpow):
-            for t, c in enumerate(plain):
-                col[s + t] -= a * c
-        for t, v in enumerate(col):
-            if v:
-                rows[t][m] = v
-        zpow = [a + step_g * b for a, b in zip([0] + zpow, zpow + [0])]
-    kernel = sparse_kernel(rows, deg + 1)
-    if not kernel:
-        return None
-    if len(kernel) > 1:
-        raise InternalInconsistencyError(
-            "homogeneous commutation equation has a solution space of dimension > 1"
-        )
-    g = XYPolynomial([kernel[0].get(m, 0) for m in range(deg + 1)])
-    if g.degree != deg:
-        raise InternalInconsistencyError(
-            "homogeneous commutation solution has unexpected degree"
-        )
-    return g.monic()
-
-
 def homogeneous_centralizer_component(p: WeylElement, grade: int) -> CentralizerComponent:
-    """Solve for the centralizer of a homogeneous non-scalar p in one grade."""
+    """Solve for the centralizer of a homogeneous non-scalar p in one grade.
+
+    For diagonal degree r > 0 the descent runs on q = p at step = grade,
+    otherwise on transpose(p) at -grade.  Diagonal `step` holds a ray point
+    only when di - dj divides it, and the columns are its monomials up to
+    that point; the generator is the descent's one vector in graded form.
+    """
     if not p:
         raise WrongSectorError("the centralizer of 0 is the whole algebra")
     if not is_homogeneous(p):
@@ -192,22 +171,25 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
         if grade == 0:
             return CentralizerComponent(ComponentKind.XY_POLYNOMIALS)
         return CentralizerComponent(ComponentKind.EMPTY)
-    # transpose(f(XY) Y^g) = X^g f(XY): for r < 0 the component at `grade` is
-    # the one of transpose(p), of diagonal degree -r and the same f, at -grade
-    step = grade if r > 0 else -grade
-    r = abs(r)
+    # transpose(X^g f(XY)) = f(XY) Y^g: for r < 0 the component at `grade` is
+    # the transpose of the one of transpose(p) at -grade, with the same f
+    q, step = (p, grade) if r > 0 else (transpose(p), -grade)
     if step < 0:
         return CentralizerComponent(ComponentKind.EMPTY)
     if step == 0:
         return CentralizerComponent(ComponentKind.LINE, GradedForm(0, XYPolynomial([1])))
-    f = to_graded_form(p).poly
-    num = f.degree * step
-    if num % r:
+    direction = primitive_direction(q)[0]
+    di, dj = direction
+    level, off = divmod(step, di - dj)
+    if off:
         return CentralizerComponent(ComponentKind.EMPTY)
-    g = _functional_line(f, step_g=r, step_f=step, deg=num // r)
-    if g is None:
+    # the monomials of diagonal `step` up to its only ray point
+    columns = [(level * di - m, level * dj - m) for m in range(level * dj + 1)]
+    rows, targets = _ad_matrix_rows(q, columns)
+    kernel = _ray_descent(rows, targets, columns, leading_weight(q), direction)
+    if not kernel:
         return CentralizerComponent(ComponentKind.EMPTY)
-    form = GradedForm(grade, g)
+    form = GradedForm(grade, to_graded_form(WeylElement._raw(kernel[0])).poly)
     if commutator(p, from_graded_form(form)):
         raise InternalInconsistencyError("claimed homogeneous generator does not commute")
     return CentralizerComponent(ComponentKind.LINE, form)
@@ -507,13 +489,12 @@ def _packed(p: WeylElement, elems: list[WeylElement]) -> tuple[WeylElement, int]
 def _mirror_side(q: WeylElement, columns: list[Monomial], direction: Weight) -> bool:
     """Whether the descent runs on transpose(q) rather than on q.
 
-    That side is usable when transpose(q) is x-dominant with a single
-    monomial on its top diagonal, and it is taken when its ray holds
-    strictly fewer points of the region.  Both rays are counted on q's
-    region, whose transpose is the region of transpose(q).
+    That side is usable when transpose(q) is x-dominant, and it is taken
+    when its ray holds strictly fewer points of the region.  Both rays are
+    counted on q's region, whose transpose is the region of transpose(q).
     """
     m = transpose(q)
-    if not is_x_dominant(m) or len(leading_form(m).terms) != 1:
+    if not is_x_dominant(m):
         return False
     (mi, mj), _ = primitive_direction(m)
     di, dj = direction
@@ -651,10 +632,7 @@ def ray_degree(q: WeylElement, basis: CentralizerBasis) -> int:
     """Degree of a centralizer element: its ray level over the level gcd."""
     if not q:
         raise MembershipError("the zero element has no ray degree")
-    coords = expand_in_basis(basis, q)
-    if coords is None:
-        raise MembershipError("element is not in the computed centralizer span")
-    return basis.ray_degrees[max(coords)]
+    return basis.ray_degrees[_lead_coeff_on_ray(basis, q)[0]]
 
 
 def _lead_coeff_on_ray(basis: CentralizerBasis, q: WeylElement) -> tuple[int, Fraction]:
@@ -721,8 +699,6 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
 
 def recompose(parts: list[XYPolynomial], basis: CentralizerBasis) -> WeylElement:
     """Inverse of decompose: T_0(S_0) + sum of T_r(S_0) * S_r."""
-    from .graded import evaluate_at_element
-
     s0 = basis.picks[0]
     out = evaluate_at_element(parts[0], s0)
     for r in range(1, len(parts)):

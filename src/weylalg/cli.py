@@ -74,6 +74,7 @@ from .centralizer import (
 from .core import ONE, WeylElement, X, Y, commutator, mul, total_degree, transpose
 from .derivation import (
     ElementaryAutomorphism,
+    check_dixmier_pair,
     derivation_report,
     dixmier_pair,
     dixmier_pair_from_script,
@@ -575,8 +576,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check_dixmier(args) -> int:
-    from .derivation import check_dixmier_pair
-
     bound = _bound(args.max_total_degree)
     p = parse_element(args.p)
     q = parse_element(args.q)

@@ -8,9 +8,10 @@ smallest column index first, then smallest row index among the rows still
 unused, so a column is free exactly when it depends on the columns before
 it.
 
-`sparse_kernel` back-substitutes after it.  It solves the homogeneous
-commutation equation (one column per coefficient of the unknown
-polynomial); the centralizer descent eliminates its own ray constraints.
+`sparse_kernel` back-substitutes after it.  It serves only
+`dense_kernel` (for `derivation_report`) and the tests: every centralizer,
+whole basis or homogeneous component, comes from the descent of
+`centralizer`, which eliminates its own ray constraints.
 `sparse_solvable` checks an inhomogeneous system whose right-hand side is
 the last column; only the tests call it, to show by elimination that a
 polynomial in XY has no partner.  `dense_kernel` takes the kernel of a

@@ -99,7 +99,7 @@ def commutator_kernel(p, candidates: list) -> list:
 def brute_force_component(p, grade: int, degree_cap: int) -> list:
     """Kernel of [p, -] on the monomial basis of one homogeneity degree.
 
-    Independent of the functional-equation solver: it spans the candidate
+    Independent of the descent: it spans the candidate
     space with monomials X^(m+grade) Y^m (or X^m Y^(m-grade)) up to the
     polynomial degree cap and row-reduces the exact commutator matrix.
     """
@@ -110,6 +110,55 @@ def brute_force_component(p, grade: int, degree_cap: int) -> list:
         else:
             candidates.append(from_terms([(m, m - grade, 1)]))
     return commutator_kernel(p, candidates)
+
+
+def assert_matches_brute_force(p, grade: int) -> None:
+    """The component of p at `grade` is the kernel that brute force finds."""
+    cap = 2 * to_graded_form(p).poly.degree * abs(grade) + 4
+    brute = brute_force_component(p, grade, cap)
+    assert len(brute) <= 1 or diag_degree(p) == 0
+    result = homogeneous_centralizer_component(p, grade)
+    if result.kind is ComponentKind.LINE:
+        assert len(brute) == 1
+        element = from_graded_form(result.generator)
+        assert result.generator.poly.leading_coeff == 1
+        # same line: the brute vector is a scalar multiple
+        mono = next(iter(brute[0].terms))
+        ratio = brute[0].coefficient(*mono) / element.coefficient(*mono)
+        assert ratio and brute[0] == ratio * element
+    elif result.kind is ComponentKind.EMPTY:
+        assert brute == []
+    else:
+        # every candidate commutes: the kernel is the whole space
+        assert len(brute) == cap + 1
+
+
+@st.composite
+def homogeneous_elements(draw):
+    """Nonzero elements on one diagonal of either sign, with fractional coefficients."""
+    d = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    terms = draw(st.lists(st.tuples(st.integers(0, 3), _coeffs), min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    return from_terms([(m + d, m, c) if d > 0 else (m, m - d, c) for m, c in terms])
+
+
+def corrupted_component_descent(offset: Fraction):
+    """A `_ray_descent` that adds `offset` to each vector at the last column.
+
+    The homogeneous solver's columns run down one diagonal from its ray
+    point, so the last one is off the ray and on the solved diagonal.
+    """
+    descent = weylalg.centralizer._ray_descent
+
+    def corrupting(rows, targets, columns, lead, direction):
+        vectors = descent(rows, targets, columns, lead, direction)
+        for vec in vectors:
+            vec[columns[-1]] = vec.get(columns[-1], Fraction(0)) + offset
+        return vectors
+
+    return corrupting
+
+
+H = parse_element("X^4*Y^2 + X^3*Y + 2*X^2")
 
 
 class TestHomogeneousComponent:
@@ -157,24 +206,25 @@ class TestHomogeneousComponent:
         "p", [XY, power(XY, 2), power(X, 2), power(X, 3), X2Y, X3Y, XY2]
     )
     def test_agrees_with_brute_force(self, p):
-        f_degree = to_graded_form(p).poly.degree
         for grade in range(-8, 9):
-            cap = 2 * f_degree * abs(grade) + 4
-            brute = brute_force_component(p, grade, cap)
-            assert len(brute) <= 1 or diag_degree(p) == 0
-            result = homogeneous_centralizer_component(p, grade)
-            if result.kind is ComponentKind.LINE:
-                assert len(brute) == 1
-                element = from_graded_form(result.generator)
-                # same line: the brute vector is a scalar multiple
-                mono = next(iter(brute[0].terms))
-                ratio = brute[0].coefficient(*mono) / element.coefficient(*mono)
-                assert ratio and brute[0] == ratio * element
-            elif result.kind is ComponentKind.EMPTY:
-                assert brute == []
-            else:
-                # every candidate commutes: the kernel is the whole space
-                assert len(brute) == cap + 1
+            assert_matches_brute_force(p, grade)
+
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_elements(), st.integers(-8, 8))
+    def test_agrees_with_brute_force_on_random_elements(self, p, grade):
+        assert_matches_brute_force(p, grade)
+
+    @pytest.mark.parametrize("p, grade", [(H, 4), (transpose(H), -4)], ids=["x-sector", "y-sector"])
+    def test_corrupted_generator_raises(self, p, grade, monkeypatch):
+        assert homogeneous_centralizer_component(p, grade).kind is ComponentKind.LINE
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_component_descent(Fraction(1, 7)))
+        with pytest.raises(InternalInconsistencyError, match="does not commute"):
+            homogeneous_centralizer_component(p, grade)
+
+    def test_corrupted_generator_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_component_descent(Fraction(1, 7)))
+        assert main(["homog-centralizer", "X^4*Y^2 + X^3*Y + 2*X^2", "--j", "4"]) == 3
+        assert "internal inconsistency" in capsys.readouterr().err
 
 
 class TestCentralizerBasis:
@@ -281,9 +331,8 @@ def canonical(p):
 
 
 def mirror_usable(q) -> bool:
-    """transpose(q) is x-dominant with a single monomial on its top diagonal."""
-    m = transpose(q)
-    return is_x_dominant(m) and len(leading_form(m).terms) == 1
+    """transpose(q) is x-dominant."""
+    return is_x_dominant(transpose(q))
 
 
 def chosen_side(p, bound: int) -> str:
@@ -756,18 +805,18 @@ class TestSideChoice:
         assert chosen_side(p, 54) == "plain"
 
     def test_homogeneous_stays_plain(self):
-        p = parse_element("X^4*Y^2 + X^3*Y + 2*X^2")
-        assert not mirror_usable(p)
-        assert chosen_side(p, 30) == "plain"
+        assert not mirror_usable(H)
+        assert chosen_side(H, 30) == "plain"
 
-    def test_non_monomial_mirror_form_stays_plain(self):
+    def test_non_monomial_mirror_form_takes_mirror(self):
         # the lowest diagonal holds Y^2 + X Y^3; the mirror ray, through X Y^3,
         # has fewer points of the region than the plain ray X^a
         q = parse_element("X^3 + Y^2 + X*Y^3")
         columns = _newton_columns(q, 12)
         assert sum(b == 3 * a for a, b in columns) < sum(b == 0 for a, b in columns)
-        assert not mirror_usable(q)
-        assert chosen_side(q, 12) == "plain"
+        assert len(leading_form(transpose(q)).terms) == 2
+        assert mirror_usable(q)
+        assert chosen_side(q, 12) == "mirror"
         assert_same_as_full_elimination(q, 12)
 
 
