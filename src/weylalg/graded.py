@@ -8,10 +8,13 @@ single diagonal i - j = g.  Such an element factors through the product XY:
 for a unique polynomial f.  The bridge between monomial exponents and the
 polynomial coordinate is the falling-factorial identity
 
-    X^a Y^a = (XY)(XY - 1)(XY - 2) ... (XY - a + 1),
+    X^a Y^a = (Z)_a = Z(Z - 1)(Z - 2) ... (Z - a + 1),    Z = XY.
 
-an integer triangular change of basis (Stirling numbers in both directions),
-so conversion costs O(a^2) exact integer work and no algebra products.
+Both directions run it as Horner's scheme on integers over the common
+denominator: to f by f <- f * (Z - a) + c_a for a from the top down, with c_a
+the coefficient of the term with min(i, j) = a; back by v <- Z * v + f_m for
+m from the top down, in the basis (Z)_a, where Z (Z)_a = (Z)_(a+1) + a (Z)_a.
+Either costs O(a^2) integer operations, with no tables and no algebra products.
 
 XYPolynomial is a dense univariate polynomial over Fraction in a formal
 variable Z standing for the product XY.
@@ -21,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import comb
+from math import lcm
 from typing import Iterable
 
-from .core import Coefficient, WeylElement, from_terms, mul
+from .core import Coefficient, WeylElement, _integer_terms, _over, mul
 from .errors import MalformedInputError, NotHomogeneousError, UndefinedOnZeroError
 from .leading import diag_degree, _require_nonzero
 
@@ -125,16 +127,13 @@ class XYPolynomial:
         return out
 
     def shift(self, s: Coefficient) -> "XYPolynomial":
-        """f(Z + s), expanded in the monomial basis."""
+        """f(Z + s), expanded in the monomial basis by Horner's scheme."""
         s = Fraction(s)
-        out = [Fraction(0)] * len(self._coeffs)
-        for m, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            p = Fraction(1)
-            for t in range(m, -1, -1):
-                out[t] += c * comb(m, m - t) * p
-                p *= s
+        out: list[Fraction] = []
+        for c in reversed(self._coeffs):
+            # out <- out * (Z + s) + c
+            out = [x + s * y for x, y in zip([0, *out], [*out, 0])]
+            out[0] += c
         return XYPolynomial(out)
 
     def derivative(self) -> "XYPolynomial":
@@ -174,35 +173,6 @@ class GradedForm:
             raise MalformedInputError("graded form requires a nonzero polynomial")
 
 
-@cache
-def _falling_factorial_row(a: int) -> tuple[int, ...]:
-    # ascending coefficients of Z(Z-1)...(Z-a+1)
-    if a == 0:
-        return (1,)
-    prev = _falling_factorial_row(a - 1)
-    t = a - 1
-    out = [0] * (a + 1)
-    for m, c in enumerate(prev):
-        out[m + 1] += c
-        out[m] -= c * t
-    return tuple(out)
-
-
-@cache
-def _power_in_falling_rows(m: int) -> tuple[int, ...]:
-    # Z^m = sum_a row[a] * Z(Z-1)...(Z-a+1); row holds Stirling set numbers
-    if m == 0:
-        return (1,)
-    prev = _power_in_falling_rows(m - 1)
-    out = [0] * (m + 1)
-    for a, s in enumerate(prev):
-        if s:
-            # Z * FF_a = FF_{a+1} + a * FF_a
-            out[a + 1] += s
-            out[a] += s * a
-    return tuple(out)
-
-
 def homogeneous_components(p: WeylElement) -> dict[int, WeylElement]:
     """Split into diagonal components; the empty map for 0."""
     buckets: dict[int, dict] = {}
@@ -222,38 +192,27 @@ def to_graded_form(h: WeylElement) -> GradedForm:
     _require_nonzero(h, "graded form")
     if not is_homogeneous(h):
         raise NotHomogeneousError("only homogeneous elements factor through XY")
-    g = diag_degree(h)
-    acc: dict[int, Fraction] = {}
-    for (i, j), c in h.terms.items():
-        a = min(i, j)
-        for m, s in enumerate(_falling_factorial_row(a)):
-            if s:
-                acc[m] = acc.get(m, Fraction(0)) + c * s
-    coeffs = [Fraction(0)] * (max(acc) + 1)
-    for m, c in acc.items():
-        coeffs[m] = c
-    return GradedForm(g, XYPolynomial(coeffs))
+    d, terms = _integer_terms(h)
+    c = {min(i, j): n for i, j, n in terms}
+    f: list[int] = []
+    for a in range(max(c), -1, -1):
+        # f <- f * (Z - a) + c_a
+        f = [x - a * y for x, y in zip([0, *f], [*f, 0])]
+        f[0] += c.get(a, 0)
+    return GradedForm(diag_degree(h), XYPolynomial(Fraction(n, d) for n in f))
 
 
 def from_graded_form(form: GradedForm) -> WeylElement:
     """Expand back into canonical normal form; inverse of to_graded_form."""
-    falling: dict[int, Fraction] = {}
-    for m, b in enumerate(form.poly.coeffs):
-        if not b:
-            continue
-        for a, s in enumerate(_power_in_falling_rows(m)):
-            if s:
-                falling[a] = falling.get(a, Fraction(0)) + b * s
+    coeffs = form.poly.coeffs
+    d = lcm(*(c.denominator for c in coeffs))
+    v: list[int] = []
+    for c in reversed(coeffs):
+        # v <- Z * v + c, with v_a the coefficient of (Z)_a
+        v = [x + a * y for a, (x, y) in enumerate(zip([0, *v], [*v, 0]))]
+        v[0] += c.numerator * (d // c.denominator)
     g = form.grade
-    terms = []
-    for a, c in falling.items():
-        if not c:
-            continue
-        if g >= 0:
-            terms.append((a + g, a, c))
-        else:
-            terms.append((a, a - g, c))
-    return from_terms(terms)
+    return _over({(a + g, a) if g >= 0 else (a, a - g): n for a, n in enumerate(v)}, d)
 
 
 def evaluate_at_element(f: XYPolynomial, s: WeylElement) -> WeylElement:

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylalg
 from weylalg import (
     ExprSyntaxError,
     MalformedInputError,
@@ -339,6 +343,17 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 def test_golden_output(case, capsys):
     code, out, _ = run_cli(case["argv"], capsys)
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_python_dash_m_entry_point():
+    """`python -m weylalg` runs `main` and leaves stderr empty."""
+    src = str(Path(weylalg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "weylalg", "normalize", "Y*X"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "X*Y + 1\n", "")
 
 
 # sha256 of `centralizer --json` stdout at the scale the solver targets,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from weylalg import (
     power,
     to_graded_form,
 )
-from weylalg.oracle import oracle_equal
+from weylalg.oracle import act, oracle_equal, poly_from_coeffs, x_power
 
 from conftest import weyl_elements
 
@@ -122,6 +123,35 @@ def test_graded_form_roundtrip(f, grade):
     form = GradedForm(grade, f)
     back = to_graded_form(from_graded_form(form))
     assert back == form
+
+
+@settings(max_examples=80, deadline=None)
+@given(xy_polys.filter(bool), st.integers(min_value=-6, max_value=6))
+def test_graded_form_acts_on_x_powers(f, grade):
+    """Through the differential-operator action, which shares no code with the conversions.
+
+    X^g f(XY) sends x^n to f(n) x^(n+g), and f(XY) Y^s sends x^n to
+    n (n-1) ... (n-s+1) f(n-s) x^(n-s); n = 0 .. deg f + s reaches every
+    Y exponent of the element.
+    """
+    element = from_graded_form(GradedForm(grade, f))
+    s = max(-grade, 0)
+    for n in range(f.degree + s + 1):
+        value = prod(range(n - s + 1, n + 1)) * f(n - s)
+        expected = poly_from_coeffs([0] * (n + grade) + [value])
+        assert act(element, x_power(n)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    xy_polys,
+    st.fractions(min_value=-5, max_value=5, max_denominator=5),
+    st.lists(st.fractions(min_value=-7, max_value=7, max_denominator=7), min_size=1, max_size=4),
+)
+def test_shift_evaluates_at_the_shifted_point(f, s, points):
+    g = f.shift(s)
+    for z in points:
+        assert g(z) == f(z + s)
 
 
 @settings(max_examples=60, deadline=None)
