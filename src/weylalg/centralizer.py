@@ -31,20 +31,22 @@ the highest target down, each row of the commutator matrix either solves
 one new off-ray monomial from those already solved, or constrains the
 coefficients at the ray points, which are the parameters; a row whose
 monomial lies outside the region is a constraint too.  Each constraint
-is eliminated as it arrives, solved for its smallest level, so the
-levels left without a relation are the free columns of the constraint
-system under ascending levels: the leading ray levels.  Reading each
-solved monomial off at the free levels gives the basis in reduced
-echelon form under the same order: every vector is monic with a distinct
-leading term on the ray, and the basis is unique for the given bound.
+is eliminated as it arrives, solved for its smallest level, and put at
+once into the earlier relations, so every relation is over the levels
+without one.  Those levels are the free columns of the constraint system
+under ascending levels: the leading ray levels.  Reading each solved
+monomial off at the free levels gives the basis in reduced echelon form
+under the same order: every vector is monic with a distinct leading term
+on the ray, and the basis is unique for the given bound.
 
 A homogeneous P of diagonal degree r > 0 is X^r f(XY), and [P, -] maps
 diagonal g to diagonal g + r, so its centralizer splits into components,
-one per diagonal.  Diagonal g > 0 meets the primitive ray (di, dj) in one
-point when di - dj divides g, at level g / (di - dj), and in none
+one per diagonal.  Diagonal g >= 0 meets the primitive ray (di, dj) in
+one point when di - dj divides g, at level g / (di - dj), and in none
 otherwise.  The descent over the monomials of the diagonal up to that
 point has that single parameter: it returns one vector, monic at the ray
-point, or none, so a component is a line or empty.
+point, or none, so a component is a line or empty; at g = 0 it is the
+constants.
 
 There is one sector, and there are two sides.  The transpose
 X^i Y^j -> X^j Y^i (`core.transpose`) is an anti-automorphism, so
@@ -158,6 +160,8 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
     otherwise on transpose(p) at -grade.  Diagonal `step` holds a ray point
     only when di - dj divides it, and the columns are its monomials up to
     that point; the generator is the descent's one vector in graded form.
+    At step 0 the one column (0, 0) meets no row, and the descent returns
+    1.  transpose(q) has negative diagonal degree, so q is its own side.
     """
     if not p:
         raise WrongSectorError("the centralizer of 0 is the whole algebra")
@@ -176,8 +180,6 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
     q, step = (p, grade) if r > 0 else (transpose(p), -grade)
     if step < 0:
         return CentralizerComponent(ComponentKind.EMPTY)
-    if step == 0:
-        return CentralizerComponent(ComponentKind.LINE, GradedForm(0, XYPolynomial([1])))
     direction = primitive_direction(q)[0]
     di, dj = direction
     level, off = divmod(step, di - dj)
@@ -185,8 +187,7 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
         return CentralizerComponent(ComponentKind.EMPTY)
     # the monomials of diagonal `step` up to its only ray point
     columns = [(level * di - m, level * dj - m) for m in range(level * dj + 1)]
-    rows, targets = _ad_matrix_rows(q, columns)
-    kernel = _ray_descent(rows, targets, columns, leading_weight(q), direction)
+    kernel = _reduced_kernel(q, columns, direction)
     if not kernel:
         return CentralizerComponent(ComponentKind.EMPTY)
     form = GradedForm(grade, to_graded_form(WeylElement._raw(kernel[0])).poly)
@@ -336,12 +337,13 @@ def _ray_descent(
 
     Parameter l is the coefficient t_l at the ray point l * direction.  A
     constraint row is eliminated on arrival: with the relations found so
-    far put in, it is solved for its smallest level p.  Solved columns keep
-    the form they were solved in, and an earlier relation that holds t_p
-    takes it only when a row's combination meets that relation.  At the
-    end every column takes all relations, and each free level's basis
-    vector is read off.  A row that meets an unsolved column, or a column
-    left unsolved, contradicts the structure in the module docstring and
+    far put in, it is solved for its smallest level p, and t_p is put at
+    once into every earlier relation that holds it, so each relation is
+    over levels without a relation.  Solved columns keep the form they
+    were solved in and take the relations when a row combines them; at the
+    end every column takes them, and each free level's basis vector is
+    read off.  A row that meets an unsolved column, or a column left
+    unsolved, contradicts the structure in the module docstring and
     raises.
     """
     i0, j0 = lead
@@ -352,24 +354,18 @@ def _ray_descent(
     free: dict[int, dict[Monomial, Fraction]] = {}  # level -> basis vector
     for idx, (a, b) in enumerate(columns):
         if a * dj == b * di:
-            level = a // di if di else b // dj
+            level = a // di
             free[level], solved[idx] = {}, ({level: 1}, 1)
     ray = set(solved)
-    # level -> t_level as a solved column, and how many relations there were
-    # when it last took the newer ones
+    # level -> t_level over the levels without a relation
     relations: dict[int, tuple[dict[int, int], int]] = {}
-    seen: dict[int, int] = {}
 
     def reduced(vec: dict[int, int], den: int) -> tuple[dict[int, int], int]:
         # vec / den over the levels without a relation, and over its content
-        # when one was put in; a relation it meets first takes the newer ones
-        # (recursion no deeper than the ray levels: t_l holds levels above l)
+        # when one was put in
         levels = [l for l in vec if l in relations]
         if not levels:
             return vec, den
-        for l in levels:
-            if seen[l] < len(relations):
-                relations[l], seen[l] = reduced(*relations[l]), len(relations)
         s = lcm(*(relations[l][1] for l in levels))
         out = {l: s * v for l, v in vec.items() if l not in relations}
         for p in levels:
@@ -396,19 +392,20 @@ def _ray_descent(
             for l, u in vec.items():
                 acc[l] = acc.get(l, 0) + scale * u
         acc, den = reduced({l: u for l, u in acc.items() if u}, den)
-        if col is None:
-            if acc:
-                p = min(acc)
-                g = gcd(*acc.values()) * (1 if acc[p] > 0 else -1)
-                relations[p] = ({l: -v // g for l, v in acc.items() if l != p}, acc[p] // g)
-                seen[p] = len(relations)
-        else:
+        if col is not None:
             pivot = row.get(col)
             if not pivot:
                 raise InternalInconsistencyError("descent pivot is missing from its row")
             den *= -pivot
             g = gcd(den, *acc.values()) * (1 if den > 0 else -1)
             solved[col] = ({l: u // g for l, u in acc.items()}, den // g)
+        elif acc:
+            p = min(acc)
+            g = gcd(*acc.values()) * (1 if acc[p] > 0 else -1)
+            relations[p] = ({l: -v // g for l, v in acc.items() if l != p}, acc[p] // g)
+            for l, (expr, d) in relations.items():
+                if p in expr:
+                    relations[l] = reduced(expr, d)
     if len(solved) != len(columns):
         raise InternalInconsistencyError("descent left a column unsolved")
     for idx, (vec, den) in solved.items():
@@ -517,7 +514,7 @@ def _rebased(vectors: list[dict[Monomial, Fraction]], direction: Weight) -> list
     for n, vec in enumerate(vectors):
         den = lcm(*(v.denominator for v in vec.values()))
         forms.append({m: v.numerator * (den // v.denominator) for m, v in vec.items()})
-        ray = {(a // di if di else b // dj): v for (a, b), v in forms[-1].items() if a * dj == b * di}
+        ray = {a // di: v for (a, b), v in forms[-1].items() if a * dj == b * di}
         rows.append((ray, {n: 1}))
     pivots: dict[int, int] = {}  # leading level -> its row
     for level in sorted({l for ray, _ in rows for l in ray}, reverse=True):
@@ -587,7 +584,7 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     by_level: dict[int, WeylElement] = {}
     for vec in _reduced_kernel(q, columns, direction):
         lead = max(vec, key=_order_key)
-        level = lead[0] // di if di else lead[1] // dj
+        level = lead[0] // di
         if lead != (level * di, level * dj) or vec[lead] != 1 or level in by_level:
             raise InternalInconsistencyError(
                 "kernel vector is not monic with its own leading term on the primitive ray"
@@ -647,9 +644,10 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     """Write q as T_0(S_0) + T_1(S_0) S_1 + ... over the canonical picks.
 
     S_0 is picks[0] and S_r is picks[r]; the returned list holds the
-    polynomials T_0 .. T_{period-1}.  Works by repeatedly matching the
-    leading ray coefficient with the unique monic product S_0^m * S_r of
-    the same degree, which lowers the degree strictly.
+    polynomials T_0 .. T_{period-1}.  Each step matches the leading ray
+    coefficient with the unique monic product S_0^m S_r of the same degree,
+    where S_r is the constant 1 for residue 0; this lowers the degree
+    strictly.
     """
     # the leading ray level and coefficient of the residual, carried from the
     # strict-descent check of one step to the next
@@ -657,33 +655,25 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     period = basis.period
     if basis.picks and any(s is None for s in basis.picks):
         raise BoundError("basis is truncated: some residue classes have no pick")
+    s0 = basis.picks[0] if basis.picks else ONE  # a basis of the constants has no S_0
     coeffs: list[dict[int, Fraction]] = [dict() for _ in range(period)]
     residual = q
     while residual:
-        if residual.is_scalar():
-            coeffs[0][0] = coeffs[0].get(0, Fraction(0)) + residual.constant_term()
-            break
-        if not basis.picks:
-            raise BoundError("basis is truncated: no nonconstant pick available")
         level, lam = lead
         deg = basis.ray_degrees[level]
         residue = deg % period
-        s0 = basis.picks[0]
-        if residue == 0:
-            m = deg // period
-            factor = power(s0, m)
-        else:
-            pick = basis.picks[residue]
-            pick_deg = basis.ray_degrees[basis.pick_levels[residue]]
-            m = (deg - pick_deg) // period
-            if m < 0:
-                raise InternalInconsistencyError(
-                    "pick degree exceeds the degree of its residue class member"
-                )
-            factor = mul(power(s0, m), pick)
+        pick_level = basis.pick_levels[residue] if residue else 0  # residue 0 counts from 1
+        m = (deg - basis.ray_degrees[pick_level]) // period
+        if m < 0:
+            raise InternalInconsistencyError(
+                "pick degree exceeds the degree of its residue class member"
+            )
         coeffs[residue][m] = coeffs[residue].get(m, Fraction(0)) + lam
+        factor = power(s0, m)
+        if residue:
+            factor = mul(factor, basis.picks[residue])
         residual = residual - lam * factor
-        if residual and not residual.is_scalar():
+        if residual:
             lead = _lead_coeff_on_ray(basis, residual)
             if lead[0] >= level:
                 raise InternalInconsistencyError("leading elimination failed to lower the degree")

@@ -122,7 +122,7 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
         if not value:
             continue
         pick_deg = basis.ray_degrees[level]
-        image_deg = basis.ray_degrees[max(coords)] if coords else 0
+        image_deg = basis.ray_degrees[max(coords)]
         nonzero.append(residue)
         degrees[residue] = (pick_deg, image_deg)
         drops.add(image_deg - pick_deg)
@@ -136,7 +136,7 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
         [cols[ci].get(target, Fraction(0)) for ci in range(len(cols))]
         for target in basis.levels
     ]
-    kernel_dim = len(dense_kernel(matrix)) if matrix else 0
+    kernel_dim = len(dense_kernel(matrix))
     return DerivationReport(
         nonzero_picks=tuple(nonzero),
         degrees=degrees,

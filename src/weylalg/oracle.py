@@ -3,7 +3,8 @@
 X acts on the polynomial ring Q[x] as multiplication by x, and Y acts as
 d/dx; this is a faithful representation because d/dx(x*p) - x*d/dx(p) = p.
 The action never touches the normal-form product, so agreement between
-`mul` and composed actions is a genuinely independent check.
+`mul` and composed actions is a genuinely independent check.  Each call
+forms every derivative of its polynomial that the element needs once.
 
 A polynomial is a tuple of Fraction coefficients, ascending in degree,
 with trailing zeros trimmed.
@@ -31,20 +32,14 @@ def x_power(n: int) -> PolyVector:
     return poly_from_coeffs([0] * n + [1])
 
 
-def _differentiate(p: PolyVector, times: int) -> PolyVector:
-    for _ in range(times):
-        if not p:
-            return ()
-        p = tuple(Fraction(n) * c for n, c in enumerate(p))[1:]
-    return p
-
-
 def act(a: WeylElement, p: PolyVector) -> PolyVector:
-    """Apply sum a_ij x^i (d/dx)^j to p, exactly."""
+    """Apply sum a_ij x^i (d/dx)^j to p, exactly, from p, p', ..., p^(max j)."""
+    derivatives = [p]
+    for _ in range(max_y_exponent(a)):
+        derivatives.append(tuple(n * c for n, c in enumerate(derivatives[-1]))[1:])
     acc: dict[int, Fraction] = {}
     for (i, j), c in a.terms.items():
-        q = _differentiate(p, j)
-        for n, v in enumerate(q):
+        for n, v in enumerate(derivatives[j]):
             if v:
                 key = n + i
                 acc[key] = acc.get(key, Fraction(0)) + c * v

@@ -412,6 +412,7 @@ class TestSizeLimits:
                 ["gen-pair", "--script", "addY:Y^10; addX:X^10"],
                 ["gen-pair", "--script", "addY:Y^10; addX:X^11"],
             ),
+            (["oracle-check", "--mul", "X^50", "Y^50"], ["oracle-check", "--mul", "X^50", "Y^51"]),
         ],
     )
     def test_edge(self, capsys, allowed, refused):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from weylalg import ONE, WeylElement, X, Y, from_terms, mul, power
@@ -30,6 +31,29 @@ class TestAct:
         # acting with the normal form and composing the factor actions agree
         composed = act(power(Y, 2), act(power(X, 2), x_power(2)))
         assert act(left, x_power(2)) == composed == poly_from_coeffs([0, 0, 12])
+
+
+def _act_per_term(a: WeylElement, p) -> tuple[Fraction, ...]:
+    """Reference action: each term differentiates p again, j times."""
+    acc: dict[int, Fraction] = {}
+    for (i, j), c in a.terms.items():
+        q = p
+        for _ in range(j):
+            q = tuple(Fraction(n) * v for n, v in enumerate(q))[1:]
+        for n, v in enumerate(q):
+            if v:
+                acc[n + i] = acc.get(n + i, Fraction(0)) + c * v
+    return poly_from_coeffs([acc.get(n, 0) for n in range(max(acc, default=-1) + 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weyl_elements(max_exp=12, max_terms=6),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=16),
+)
+def test_act_matches_per_term_differentiation(a, coeffs):
+    p = poly_from_coeffs(coeffs)
+    assert act(a, p) == _act_per_term(a, p)
 
 
 class TestOracleEqual:
