@@ -8,6 +8,8 @@ commutator derivations on centralizers, a differential-operator oracle for
 independent verification, and a command-line interface.
 """
 
+import importlib
+
 from .core import (
     ONE,
     WeylElement,
@@ -93,6 +95,15 @@ from .derivation import (
     random_script,
 )
 from .oracle import act, max_y_exponent, oracle_equal, oracle_mul_check, poly_from_coeffs, x_power
-from .cli import format_element, parse_element
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the CLI loads on first use, so that `python -m weylalg.cli` does not
+    # find the module already imported by the package and warn about it;
+    # `from . import cli` here would come back to this hook
+    if name in ("cli", "format_element", "parse_element"):
+        cli = importlib.import_module(__name__ + ".cli")
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -79,7 +79,15 @@ span is 1 there and 0 at the others.
 
 Everything returned is re-verified to commute with the caller's P by
 actual multiplication; the linear algebra is never trusted on its own.
-The check is one exact commutator [P, Z], through the dispatch of
+`centralizer_basis` runs the packed check below on every basis, so the
+`centralizer` and `decompose` subcommands get it.  `check_dixmier_pair`
+solves without it and certifies by the powers of P instead, which it
+forms and expands in the basis anyway: when the basis has as many
+vectors as there are powers up to the bound, the two spans are equal
+and every vector is a polynomial in P (its docstring holds the proof);
+otherwise it runs the packed check too.  The homogeneous components are
+each checked by one commutator.
+The packed check is one exact commutator [P, Z], through the dispatch of
 `commutator`, with the basis packed as Z = sum_k 2^(k s) d_k S_k, where
 d_k S_k is the k-th element over the lcm of its denominators.  Each
 coefficient of [d_P P, d_k S_k] is at most a bound B, the product of the
@@ -564,6 +572,26 @@ def _reduced_kernel(q: WeylElement, columns: list[Monomial], direction: Weight) 
 
 def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     """All elements commuting with p of total degree at most `bound`."""
+    basis = _solve(p, bound)
+    _packed_check(basis)
+    return basis
+
+
+def _packed_check(basis: CentralizerBasis) -> None:
+    """Raise unless every basis vector commutes with the basis element exactly."""
+    p = basis.element
+    if commutator(p, _packed(p, list(basis.by_level.values()))[0]):
+        raise InternalInconsistencyError("kernel vector does not commute exactly")
+
+
+def _solve(p: WeylElement, bound: int) -> CentralizerBasis:
+    """The reduced basis of `centralizer_basis`, before the packed check.
+
+    Every vector is checked to be monic with its own leading term on the
+    ray, at a level no other vector has, and the constants are checked to
+    be the vector at level 0; whether the vectors commute with p is left to
+    the caller.
+    """
     if in_xy_subalgebra(p):
         raise WrongSectorError(
             "element has no dominant generator: its centralizer is k[XY] "
@@ -595,8 +623,6 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     if sector == "y":
         by_level = {l: transpose(e) for l, e in by_level.items()}
         direction = (dj, di)
-    if commutator(p, _packed(p, list(by_level.values()))[0]):
-        raise InternalInconsistencyError("kernel vector does not commute exactly")
     return CentralizerBasis(
         element=p,
         bound=bound,

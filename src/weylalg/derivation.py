@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 
 from .core import Monomial, ONE, WeylElement, X, Y, commutator, from_terms, mul, total_degree
 from .core import _factors, _integer_terms, _over, transpose
-from .centralizer import CentralizerBasis, centralizer_basis, expand_in_basis
+from .centralizer import CentralizerBasis, _packed_check, _solve, expand_in_basis
 from .errors import (
     BoundEscapeError,
     ImpossiblePairError,
@@ -148,7 +148,12 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
 
 @dataclass(frozen=True)
 class PairCheckReport:
-    """Comparison of a centralizer span with the span of powers of p."""
+    """Comparison of a centralizer span with the span of powers of p.
+
+    `basis` is the reduced centralizer basis of p up to the bound, verified
+    by exact multiplication whether `holds` is true or false (see
+    `check_dixmier_pair`).
+    """
 
     holds: bool
     centralizer_dim: int
@@ -159,8 +164,21 @@ class PairCheckReport:
 def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
     """Does the centralizer of pair.p equal the polynomials in pair.p, up to bound?
 
-    The power span is always contained in the computed kernel, so the check
-    reduces to comparing dimensions.
+    The powers 1, p, ..., p^n with n = bound // deg p are formed by `mul`
+    and each is rebuilt exactly from the computed basis, or the check
+    raises.  So the power span is contained in the computed span, and the
+    check reduces to comparing dimensions.
+
+    The powers also certify the basis, so the packed commutator of
+    `centralizer_basis` runs only when the dimensions differ.  Proof: p^m
+    has total degree m deg p (the top-degree parts of a product multiply as
+    commutative polynomials), so the n + 1 powers are linearly independent.
+    If the basis has n + 1 vectors, its span has dimension at most n + 1
+    and contains the n + 1 independent powers, so the two spans are equal.
+    Then every basis vector is a polynomial in p and commutes with p.  This
+    rests on `mul` and exact equality alone, like the packed check.  Fewer
+    vectors cannot hold the powers, so the expansion has raised; with more,
+    the answer is false, and the packed check verifies the returned basis.
     """
     p, q = pair.p, pair.q
     if in_xy_subalgebra(p):
@@ -169,7 +187,7 @@ def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
         )
     if commutator(q, p) != ONE:
         raise NotDixmierPairError("[q, p] is not 1")
-    basis = centralizer_basis(p, bound)
+    basis = _solve(p, bound)
     powers_dim = bound // total_degree(p) + 1
     p_m = ONE
     for m in range(powers_dim):
@@ -177,6 +195,8 @@ def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
             p_m = mul(p_m, p)
         if expand_in_basis(basis, p_m) is None:
             raise InternalInconsistencyError("a power of p is missing from its centralizer")
+    if basis.dimension != powers_dim:
+        _packed_check(basis)
     return PairCheckReport(
         holds=basis.dimension == powers_dim,
         centralizer_dim=basis.dimension,

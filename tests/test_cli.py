@@ -345,15 +345,26 @@ def test_golden_output(case, capsys):
     assert (code, out) == (case["exit"], case["stdout"])
 
 
-def test_python_dash_m_entry_point():
-    """`python -m weylalg` runs `main` and leaves stderr empty."""
+def _python_dash_m(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `python -m argv...` on this package."""
     src = str(Path(weylalg.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", "weylalg", "normalize", "Y*X"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "X*Y + 1\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_entry_point():
+    """`python -m weylalg` runs `main` and leaves stderr empty."""
+    assert _python_dash_m("weylalg", "normalize", "Y*X") == (0, "X*Y + 1\n", "")
+
+
+def test_python_dash_m_cli_module():
+    """`python -m weylalg.cli` leaves stderr empty: importing the package
+    does not import `weylalg.cli`, so runpy does not warn that it is loaded
+    twice."""
+    assert _python_dash_m("weylalg.cli", "mul", "X", "Y") == (0, "X*Y\n", "")
 
 
 # sha256 of `centralizer --json` stdout at the scale the solver targets,

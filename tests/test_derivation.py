@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weylalg.centralizer
 from weylalg import (
     BoundEscapeError,
     CentralizerBasis,
@@ -33,6 +35,7 @@ from weylalg import (
     expand_in_basis,
     from_terms,
     is_dixmier_pair,
+    is_x_dominant,
     mul,
     no_partner_check,
     power,
@@ -41,7 +44,8 @@ from weylalg import (
     total_degree,
 )
 
-from weylalg.centralizer import _ad_matrix_rows, _monomials_upto
+from weylalg.centralizer import _ad_matrix_rows, _monomials_upto, _order_key
+from weylalg.cli import format_element, main
 from weylalg.linalg import sparse_solvable
 from weylalg.oracle import act, max_y_exponent, x_power
 
@@ -251,6 +255,141 @@ class TestCheckDixmierPair:
         fake = DixmierPair(p=X, q=X, witness=ONE)
         with pytest.raises(NotDixmierPairError):
             check_dixmier_pair(fake, 4)
+
+
+# (pair, bound): an x-sector pair with deg P = 6, and a y-sector pair with
+# fractional coefficients, whose P = Y - 1/2 has a ray level in its region
+# for every power up to the bound
+CERTIFIED_PAIRS = [
+    (
+        dixmier_pair_from_script(
+            [ElementaryAutomorphism("addY", power(Y, 2)), ElementaryAutomorphism("addX", power(X, 3))]
+        ),
+        18,
+    ),
+    (
+        dixmier_pair_from_script(
+            [
+                ElementaryAutomorphism("addY", from_terms([(0, 0, Fraction(-1, 2))])),
+                ElementaryAutomorphism("fourier"),
+                ElementaryAutomorphism("addY", power(Y, 3) - Fraction(1, 3) * Y),
+            ]
+        ),
+        6,
+    ),
+]
+CERTIFIED_IDS = ["x-sector", "y-sector"]
+
+
+def _lead_key(vec):
+    return _order_key(max(vec, key=_order_key))
+
+
+def _drop_top(q, columns, direction, vectors):
+    top = max(vectors, key=_lead_key)
+    return [vec for vec in vectors if vec is not top]
+
+
+def _off_ray_term(q, columns, direction, vectors):
+    # Y^k lies below the leading term of every vector of positive level,
+    # and off the ray, since the ray of an x-dominant q has di >= 1
+    top = max(vectors, key=_lead_key)
+    k = next(k for k in count(1) if (0, k) not in top)
+    top[0, k] = Fraction(1, 7)
+    return vectors
+
+
+def _free_ray_vector(q, columns, direction, vectors):
+    """Append X^a Y^b + Y, monic at a ray level (a, b) that no vector has and
+    where every power of q up to the bound has coefficient 0: the highest
+    such level in the region, or the level above the top vector when the
+    region has none.  The powers still expand exactly, so only the packed
+    check can tell that the vector does not commute with q."""
+    di, dj = direction
+    leads = {max(vec, key=_order_key) for vec in vectors}
+    powers = [power(q, m) for m in range(len(vectors))]
+    free = [
+        (a, b)
+        for a, b in columns
+        if a * dj == b * di
+        and (a, b) not in leads
+        and not any(power_m.coefficient(a, b) for power_m in powers)
+    ]
+    level = max(free, key=_order_key)[0] // di if free else max(a // di for a, _ in leads) + 1
+    return vectors + [{(level * di, level * dj): Fraction(1), (0, 1): Fraction(1)}]
+
+
+def corrupted_kernel(change):
+    """A `_reduced_kernel` whose output in q's coordinates goes through `change`."""
+    kernel = weylalg.centralizer._reduced_kernel
+
+    def corrupting(q, columns, direction):
+        return change(q, columns, direction, kernel(q, columns, direction))
+
+    return corrupting
+
+
+# corruption -> the message of the route that must catch it
+CERTIFICATE_ROUTES = {
+    "dropped vector": (_drop_top, "a power of p is missing"),
+    "off-ray term": (_off_ray_term, "a power of p is missing"),
+    "free ray vector": (_free_ray_vector, "does not commute"),
+}
+
+
+def _check_dixmier_argv(pair, bound):
+    return ["check-dixmier", format_element(pair.p), format_element(pair.q), "--max-total-degree", str(bound)]
+
+
+class TestPowerCertificate:
+    """`check_dixmier_pair` certifies its basis by the powers of P, or by the packed check."""
+
+    @pytest.mark.parametrize("corruption", list(CERTIFICATE_ROUTES))
+    @pytest.mark.parametrize("pair, bound", CERTIFIED_PAIRS, ids=CERTIFIED_IDS)
+    def test_corrupted_descent_raises(self, pair, bound, corruption, monkeypatch):
+        change, message = CERTIFICATE_ROUTES[corruption]
+        monkeypatch.setattr(weylalg.centralizer, "_reduced_kernel", corrupted_kernel(change))
+        with pytest.raises(InternalInconsistencyError, match=message):
+            check_dixmier_pair(pair, bound)
+
+    @pytest.mark.parametrize("corruption", list(CERTIFICATE_ROUTES))
+    @pytest.mark.parametrize("pair, bound", CERTIFIED_PAIRS, ids=CERTIFIED_IDS)
+    def test_corrupted_descent_exits_3(self, pair, bound, corruption, capsys, monkeypatch):
+        change, message = CERTIFICATE_ROUTES[corruption]
+        monkeypatch.setattr(weylalg.centralizer, "_reduced_kernel", corrupted_kernel(change))
+        assert main(_check_dixmier_argv(pair, bound)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: ") and message in err
+
+    @pytest.mark.parametrize("pair, bound", CERTIFIED_PAIRS, ids=CERTIFIED_IDS)
+    def test_true_pair_runs_no_packed_commutator(self, pair, bound, monkeypatch):
+        calls = []
+        commutator_ = weylalg.centralizer.commutator
+
+        def spy(a, b):
+            calls.append((a, b))
+            return commutator_(a, b)
+
+        monkeypatch.setattr(weylalg.centralizer, "commutator", spy)
+        assert check_dixmier_pair(pair, bound).holds
+        assert calls == []
+        # the spy sees the packed check of the public solver
+        centralizer_basis(pair.p, bound)
+        assert len(calls) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), sector=st.sampled_from("xy"), extra=st.integers(0, 12))
+    def test_certified_basis_is_the_centralizer_basis(self, seed, sector, extra):
+        rng = random.Random(seed)
+        pair = dixmier_pair_from_script(random_script(rng))
+        while is_x_dominant(pair.p) != (sector == "x"):
+            pair = dixmier_pair_from_script(random_script(rng))
+        bound = total_degree(pair.p) + extra
+        basis = check_dixmier_pair(pair, bound).basis
+        reference = centralizer_basis(pair.p, bound)
+        assert basis.sector == sector
+        assert basis.levels == reference.levels
+        assert dict(basis.by_level) == dict(reference.by_level)
 
 
 class TestNoPartner:
