@@ -21,7 +21,8 @@ set of monomials with deg(P) (rho a + sigma b) <= D h for every edge of
 
 The commutator matrix is assembled by exponent shifts: in
 [P, X^a Y^b] = [P, X^a] Y^b + X^a [P, Y^b] the outer factors only raise
-exponents, so each column merges two brackets formed once per a and b.
+exponents, so each column merges two brackets formed once per a and b,
+by the loop of `core` that the monomial-rule `commutator` runs too.
 
 The kernel is found by a descent in the diagonal-major order (diagonal
 first, then the X exponent).  With (i0, j0) the leading weight of P, the
@@ -118,7 +119,7 @@ from types import MappingProxyType
 from typing import Literal, Mapping
 
 from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
-from .core import _factors, _integer_terms
+from .core import _bracket_sums, _factors, _integer_terms
 from .errors import (
     BoundError,
     InternalInconsistencyError,
@@ -169,7 +170,7 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
     only when di - dj divides it, and the columns are its monomials up to
     that point; the generator is the descent's one vector in graded form.
     At step 0 the one column (0, 0) meets no row, and the descent returns
-    1.  transpose(q) has negative diagonal degree, so q is its own side.
+    1.  The descent runs on q itself, with the direction already found.
     """
     if not p:
         raise WrongSectorError("the centralizer of 0 is the whole algebra")
@@ -195,7 +196,8 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
         return CentralizerComponent(ComponentKind.EMPTY)
     # the monomials of diagonal `step` up to its only ray point
     columns = [(level * di - m, level * dj - m) for m in range(level * dj + 1)]
-    kernel = _reduced_kernel(q, columns, direction)
+    rows, targets = _ad_matrix_rows(q, columns)
+    kernel = _ray_descent(rows, targets, columns, leading_weight(q), direction)
     if not kernel:
         return CentralizerComponent(ComponentKind.EMPTY)
     form = GradedForm(grade, to_graded_form(WeylElement._raw(kernel[0])).poly)
@@ -211,7 +213,8 @@ class CentralizerBasis:
     Basis vectors are indexed by their level l on the primitive ray:
     the leading term of by_level[l] is the monomial direction * l, monic.
     `levels` lists them ascending.  Everything else is derived from these
-    two and cached: `level_gcd` is the gcd of the nonzero levels, `period`
+    two, and all but `sector` is cached: `sector` is "x" when direction
+    (i, j) has i > j, `level_gcd` is the gcd of the nonzero levels, `period`
     the least nonzero normalized degree, and `picks` holds, per residue
     class of the normalized degree modulo the period, the basis element of
     least degree in that class (None when the class is not reached within
@@ -223,13 +226,16 @@ class CentralizerBasis:
 
     element: WeylElement
     bound: int
-    sector: Sector
     direction: Weight
     levels: tuple[int, ...]
     by_level: Mapping[int, WeylElement] = field(hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "by_level", MappingProxyType(dict(self.by_level)))
+
+    @property
+    def sector(self) -> Sector:
+        return "y" if self.direction[1] > self.direction[0] else "x"
 
     @cached_property
     def level_gcd(self) -> int:
@@ -302,30 +308,17 @@ def _ad_matrix_rows(
 
     Returns the rows and the target monomial of each row; rows are sorted
     by their target, highest in the order first, and none is empty.  Each
-    column merges two shifted brackets (module docstring), formed once by
-    the lowering terms i >= 1 of the commutator rule of `core`.
+    column merges two shifted brackets (module docstring), [P, X^a] and
+    [P, Y^b], formed once per a and b by the bracket rule of `core`,
+    `_bracket_sums`.
     """
     _, p_terms = _integer_terms(p)
-
-    def bracket(e: int, x_side: bool) -> list[tuple[int, int, int]]:
-        # [P, X^e] or [P, Y^e] as (x, y, integer coefficient) triples
-        acc: dict[Monomial, int] = {}
-        for k, j, c in p_terms:
-            if x_side:  # X^k Y^j X^e - X^e X^k Y^j
-                f, x, y = _factors(j, e), k + e, j
-            else:  # X^k Y^j Y^e - Y^e X^k Y^j
-                f, x, y, c = _factors(e, k), k, j + e, -c
-            for i in range(1, len(f)):
-                key = (x - i, y - i)
-                acc[key] = acc.get(key, 0) + c * f[i]
-        return [(x, y, v) for (x, y), v in acc.items() if v]
-
-    with_x = {a: bracket(a, True) for a in {a for a, _ in columns}}
-    with_y = {b: bracket(b, False) for b in {b for _, b in columns}}
+    with_x = {a: _bracket_sums(p_terms, [(a, 0, 1)]).items() for a in {a for a, _ in columns}}
+    with_y = {b: _bracket_sums(p_terms, [(0, b, 1)]).items() for b in {b for _, b in columns}}
     by_target: dict[Monomial, dict[int, int]] = {}
     for idx, (a, b) in enumerate(columns):
-        col = {(x, y + b): v for x, y, v in with_x[a]}
-        for x, y, v in with_y[b]:
+        col = {(x, y + b): v for (x, y), v in with_x[a]}
+        for (x, y), v in with_y[b]:
             col[x + a, y] = col.get((x + a, y), 0) + v
         for key, v in col.items():
             if v:
@@ -603,8 +596,8 @@ def _solve(p: WeylElement, bound: int) -> CentralizerBasis:
         )
     # C(p) = transpose(C(transpose(p))), and transpose maps the mirror order
     # onto the plain one, so a y-dominant p is solved in the x sector
-    sector: Sector = "x" if is_x_dominant(p) else "y"
-    q = p if sector == "x" else transpose(p)
+    x_sector = is_x_dominant(p)
+    q = p if x_sector else transpose(p)
     direction, _ = primitive_direction(q)
     columns = _newton_columns(q, bound)
 
@@ -620,13 +613,12 @@ def _solve(p: WeylElement, bound: int) -> CentralizerBasis:
         by_level[level] = WeylElement._raw(vec)
     if by_level.get(0) != ONE:
         raise InternalInconsistencyError("the constants are missing from the kernel")
-    if sector == "y":
+    if not x_sector:
         by_level = {l: transpose(e) for l, e in by_level.items()}
         direction = (dj, di)
     return CentralizerBasis(
         element=p,
         bound=bound,
-        sector=sector,
         direction=direction,
         levels=tuple(sorted(by_level)),
         by_level=by_level,
@@ -646,24 +638,17 @@ def expand_in_basis(basis: CentralizerBasis, q: WeylElement) -> dict[int, Fracti
         if c:
             coords[l] = c
             rebuilt = rebuilt + c * basis.by_level[l]
-    if rebuilt != q:
-        return None
-    return coords
+    return coords if rebuilt == q else None
 
 
 def ray_degree(q: WeylElement, basis: CentralizerBasis) -> int:
     """Degree of a centralizer element: its ray level over the level gcd."""
     if not q:
         raise MembershipError("the zero element has no ray degree")
-    return basis.ray_degrees[_lead_coeff_on_ray(basis, q)[0]]
-
-
-def _lead_coeff_on_ray(basis: CentralizerBasis, q: WeylElement) -> tuple[int, Fraction]:
     coords = expand_in_basis(basis, q)
     if coords is None:
         raise MembershipError("element is not in the computed centralizer span")
-    top = max(coords)
-    return top, coords[top]
+    return basis.ray_degrees[max(coords)]
 
 
 def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
@@ -674,18 +659,29 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     coefficient with the unique monic product S_0^m S_r of the same degree,
     where S_r is the constant 1 for residue 0; this lowers the degree
     strictly.
+
+    Only q is expanded, to test membership.  The basis is reduced, so the
+    leading coordinate of a residual in the span is its coefficient at the
+    highest basis ray point where it is nonzero, below the level just
+    eliminated.  The loop stops only on an exact 0; a residual left with no
+    such coefficient means a product left the span, an internal fault.
     """
-    # the leading ray level and coefficient of the residual, carried from the
-    # strict-descent check of one step to the next
-    lead = _lead_coeff_on_ray(basis, q) if q else None
+    if expand_in_basis(basis, q) is None:
+        raise MembershipError("element is not in the computed centralizer span")
     period = basis.period
     if basis.picks and any(s is None for s in basis.picks):
         raise BoundError("basis is truncated: some residue classes have no pick")
     s0 = basis.picks[0] if basis.picks else ONE  # a basis of the constants has no S_0
     coeffs: list[dict[int, Fraction]] = [dict() for _ in range(period)]
+    levels = list(basis.levels)  # the levels below the last one eliminated
     residual = q
     while residual:
-        level, lam = lead
+        while levels and not residual.coefficient(*basis.ray_point(levels[-1])):
+            levels.pop()
+        if not levels:
+            raise InternalInconsistencyError("leading elimination left the computed centralizer span")
+        level = levels.pop()
+        lam = residual.coefficient(*basis.ray_point(level))
         deg = basis.ray_degrees[level]
         residue = deg % period
         pick_level = basis.pick_levels[residue] if residue else 0  # residue 0 counts from 1
@@ -694,23 +690,12 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
             raise InternalInconsistencyError(
                 "pick degree exceeds the degree of its residue class member"
             )
-        coeffs[residue][m] = coeffs[residue].get(m, Fraction(0)) + lam
+        coeffs[residue][m] = lam  # each level gives its own (residue, m)
         factor = power(s0, m)
         if residue:
             factor = mul(factor, basis.picks[residue])
         residual = residual - lam * factor
-        if residual:
-            lead = _lead_coeff_on_ray(basis, residual)
-            if lead[0] >= level:
-                raise InternalInconsistencyError("leading elimination failed to lower the degree")
-    out = []
-    for acc in coeffs:
-        size = max(acc) + 1 if acc else 0
-        vec = [Fraction(0)] * size
-        for m, c in acc.items():
-            vec[m] = c
-        out.append(XYPolynomial(vec))
-    return out
+    return [XYPolynomial([acc.get(m, 0) for m in range(max(acc, default=-1) + 1)]) for acc in coeffs]
 
 
 def recompose(parts: list[XYPolynomial], basis: CentralizerBasis) -> WeylElement:

@@ -26,6 +26,8 @@ the coefficients, so
     [X^k Y^j, X^l Y^m] = sum_{i >= 1} (f(j,l,i) - f(m,k,i)) * X^{k+l-i} Y^{j+m-i}
 
 with f the lowering factor; the i = 0 terms, which cancel, are never formed.
+That loop, `_bracket_sums`, is the one bracket rule of the package: the
+centralizer's matrix assembly runs it on P against X^a and Y^b.
 
 The second kernel, `_sampled`, works through the action on Q[x] (X is
 multiplication by x, Y is d/dx).  There
@@ -75,10 +77,10 @@ core of a shared virtual machine):
     [(X+Y+1)^20, (X-2Y+3)^20] (231 x 231)         0.23-0.31      0.018-0.034
     [L, packed basis] at bound 36 (8 x 359)       0.0091-0.0095  0.0092
 
-The monomial rule stays: it is also the row rule of the centralizer's
-matrix assembly (`_factors`), it is cheaper on small and lopsided
-operands, and the tests compare the two kernels with each other and with
-the independent action of `oracle.py`.
+The monomial rule stays: it is also the bracket rule of the centralizer's
+matrix assembly, it is cheaper on small and lopsided operands, and the
+tests compare the two kernels with each other and with the independent
+action of `oracle.py`.
 
 `power` squares repeatedly over the dispatching `mul`.
 
@@ -281,10 +283,8 @@ def _mul_direct(a: WeylElement, b: WeylElement) -> WeylElement:
     return _over(sums, da * db)
 
 
-def _commutator_direct(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] by the monomial rule, over the lowering terms i >= 1 only."""
-    da, ta = _integer_terms(a)
-    db, tb = _integer_terms(b)
+def _bracket_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
+    """[a, b] over integer terms (i, j, n), by the lowering terms i >= 1; cancelled sums stay 0."""
     sums: dict[Monomial, int] = {}
     get = sums.get
     for k, j, ca in ta:
@@ -300,7 +300,14 @@ def _commutator_direct(a: WeylElement, b: WeylElement) -> WeylElement:
                 if w:
                     key = (x - i, y - i)
                     sums[key] = get(key, 0) + c * w
-    return _over(sums, da * db)
+    return sums
+
+
+def _commutator_direct(a: WeylElement, b: WeylElement) -> WeylElement:
+    """[a, b] by the monomial rule (`_bracket_sums`)."""
+    da, ta = _integer_terms(a)
+    db, tb = _integer_terms(b)
+    return _over(_bracket_sums(ta, tb), da * db)
 
 
 def _differences(terms: list[tuple[int, int, int]]) -> dict[int, list[int]]:

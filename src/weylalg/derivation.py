@@ -67,19 +67,22 @@ def ad(q: WeylElement, r: WeylElement) -> WeylElement:
 class DerivationReport:
     """Effect of the derivation [q, -] on a centralizer basis.
 
-    `nonzero_picks` lists the residues r whose pick has a nonzero image;
-    `degrees` maps each such r to (degree of pick, degree of image).  The
+    `degrees` maps each residue r whose pick has a nonzero image to
+    (degree of pick, degree of image), and `nonzero_picks` lists those r.  The
     difference image - pick degree is the same for every listed residue and
     is reported once as `constant_drop`.  `kernel_dim` is the dimension of
     the kernel of the derivation on the whole computed span.  `degenerate`
     marks a truncated basis that cannot support the measurements.
     """
 
-    nonzero_picks: tuple[int, ...]
     degrees: dict[int, tuple[int, int]]
     constant_drop: int | None
     kernel_dim: int
     degenerate: bool
+
+    @property
+    def nonzero_picks(self) -> tuple[int, ...]:
+        return tuple(self.degrees)
 
 
 def _image_coordinates(
@@ -103,7 +106,6 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
     """Measure [pair.q, -] on the basis computed for pair.p."""
     if basis.element != pair.p:
         raise MalformedInputError("basis was not computed for the first element of the pair")
-    degenerate = len(basis.levels) <= 1 or not basis.picks
 
     @cache
     def image(level: int) -> tuple[WeylElement, dict[int, Fraction]]:
@@ -111,19 +113,14 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
         out = ad(pair.q, basis.by_level[level])
         return out, (_image_coordinates(basis, out) if out else {})
 
-    nonzero: list[int] = []
     degrees: dict[int, tuple[int, int]] = {}
     drops: set[int] = set()
     for residue, level in enumerate(basis.pick_levels):
-        if level is None:
-            degenerate = True
+        if level is None or not image(level)[0]:
             continue
-        value, coords = image(level)
-        if not value:
-            continue
+        coords = image(level)[1]
         pick_deg = basis.ray_degrees[level]
         image_deg = basis.ray_degrees[max(coords)]
-        nonzero.append(residue)
         degrees[residue] = (pick_deg, image_deg)
         drops.add(image_deg - pick_deg)
     if len(drops) > 1:
@@ -138,11 +135,10 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
     ]
     kernel_dim = len(dense_kernel(matrix))
     return DerivationReport(
-        nonzero_picks=tuple(nonzero),
         degrees=degrees,
         constant_drop=constant_drop,
         kernel_dim=kernel_dim,
-        degenerate=degenerate,
+        degenerate=len(basis.levels) <= 1 or basis.truncated,
     )
 
 

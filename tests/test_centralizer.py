@@ -60,7 +60,7 @@ from weylalg.centralizer import (
     _packed,
     _rref_by_leading,
 )
-from weylalg.cli import _parse_script, basis_to_json, main, parse_element
+from weylalg.cli import _parse_script, basis_to_json, format_element, main, parse_element
 from weylalg.core import _factors, _integer_terms
 from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
@@ -226,12 +226,18 @@ class TestHomogeneousComponent:
         assert main(["homog-centralizer", "X^4*Y^2 + X^3*Y + 2*X^2", "--j", "4"]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p, grade", [(H, 4), (transpose(H), -4)], ids=["x-sector", "y-sector"])
+    def test_descends_on_q_without_a_side_probe(self, p, grade, monkeypatch):
+        """A homogeneous q is its own side: the solver never asks `_mirror_side`."""
+        monkeypatch.setattr(weylalg.centralizer, "_mirror_side", mock.Mock(side_effect=AssertionError))
+        assert homogeneous_centralizer_component(p, grade).kind is ComponentKind.LINE
+
 
 class TestCentralizerBasis:
     def test_x_squared(self):
         basis = centralizer_basis(power(X, 2), 6)
         assert basis.levels == tuple(range(7))
-        assert basis.direction == (1, 0)
+        assert (basis.sector, basis.direction) == ("x", (1, 0))
         assert basis.level_gcd == 1
         assert basis.period == 1
         assert all(basis.by_level[l] == power(X, l) for l in basis.levels)
@@ -569,7 +575,6 @@ def mirror_reference(p, bound: int) -> CentralizerBasis:
     return CentralizerBasis(
         element=p,
         bound=bound,
-        sector="y",
         direction=direction,
         levels=tuple(sorted(by_level)),
         by_level=by_level,
@@ -923,6 +928,46 @@ class TestDecomposeSyntheticPeriodTwo:
         assert parts == [XYPolynomial([0, 0, -2]), Z + 1]
 
 
+def adds_x(product):
+    """A product that is off by X: a fault of the program, not of the input."""
+    return lambda a, b: product(a, b) + X
+
+
+class TestDecomposeFaults:
+    """q is expanded once; a residual that leaves the span afterwards is an internal fault."""
+
+    def test_expands_once(self, monkeypatch):
+        basis = centralizer_basis(DIXMIER_L, 18)
+        s0, s = basis.picks
+        spy = mock.Mock(wraps=expand_in_basis)
+        monkeypatch.setattr(weylalg.centralizer, "expand_in_basis", spy)
+        assert decompose(mul(s0, s) - 2 * power(s0, 2) + s, basis) == [XYPolynomial([0, 0, -2]), Z + 1]
+        assert spy.call_count == 1
+
+    def test_corrupted_product_raises(self, monkeypatch):
+        basis = centralizer_basis(DIXMIER_L, 18)
+        monkeypatch.setattr(weylalg.centralizer, "mul", adds_x(weylalg.centralizer.mul))
+        with pytest.raises(InternalInconsistencyError):
+            decompose(basis.by_level[9], basis)
+
+    def test_corrupted_product_exits_3(self, capsys, monkeypatch):
+        pick = format_element(centralizer_basis(DIXMIER_L, 18).by_level[9])
+        monkeypatch.setattr(weylalg.centralizer, "mul", adds_x(weylalg.centralizer.mul))
+        argv = ["decompose", pick, "--basis-of", "(Y^2 + X^3 + 1)^2 + 2*X", "--max-total-degree", "18"]
+        assert main(argv) == 3
+        assert "internal inconsistency" in capsys.readouterr().err
+
+    def test_membership_is_checked_before_truncation(self):
+        # levels 0, 3, 4: period 3, and no level of degree 2 mod 3
+        by_level = {0: ONE, 3: power(X, 3), 4: power(X, 4)}
+        basis = CentralizerBasis(element=X, bound=4, direction=(1, 0), levels=(0, 3, 4), by_level=by_level)
+        assert basis.truncated
+        with pytest.raises(MembershipError):
+            decompose(Y, basis)
+        with pytest.raises(BoundError):
+            decompose(power(X, 3), basis)
+
+
 class TestMonomialAlgebraEmbedding:
     def test_x2y(self):
         assert is_monomial_algebra_embedding(centralizer_basis(X2Y, 9))
@@ -938,7 +983,6 @@ class TestMonomialAlgebraEmbedding:
         basis = CentralizerBasis(
             element=XY,
             bound=8,
-            sector="x",
             direction=(1, 1),
             levels=levels,
             by_level=by_level,

@@ -181,7 +181,6 @@ class TestDerivationReport:
         basis = CentralizerBasis(
             element=X,
             bound=0,
-            sector="x",
             direction=(1, 0),
             levels=(0,),
             by_level={0: ONE},
@@ -197,7 +196,6 @@ class TestDerivationReport:
         basis = CentralizerBasis(
             element=X,
             bound=1,
-            sector="x",
             direction=(1, 0),
             levels=(0, 3),
             by_level={0: ONE, 3: power(X, 3)},
@@ -211,7 +209,6 @@ class TestDerivationReport:
         basis = CentralizerBasis(
             element=X,
             bound=6,
-            sector="x",
             direction=(1, 0),
             levels=(0, 3),
             by_level={0: ONE, 3: power(X, 3)},
