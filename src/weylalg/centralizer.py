@@ -40,6 +40,16 @@ monomial off at the free levels gives the basis in reduced echelon form
 under the same order: every vector is monic with a distinct leading term
 on the ray, and the basis is unique for the given bound.
 
+The constraint rows stop counting at a floor.  The powers 1, P, ..., P^n
+with n = D // deg P commute with P, lie in the region and have distinct
+total degrees, so the kernel has dimension at least n + 1.  The rows seen
+so far cut out a space that holds the kernel, one dimension per level
+without a relation; once those levels are n + 1, the two are equal, and
+every later constraint row holds on that space already.  The descent
+skips them, which is most of its rows on a Dixmier pair, where C(P) is
+k[P] by the paper's theorem and the kernel has exactly n + 1 vectors.
+The relations it keeps span the same space, so the basis is the same.
+
 A homogeneous P of diagonal degree r > 0 is X^r f(XY), and [P, -] maps
 diagonal g to diagonal g + r, so its centralizer splits into components,
 one per diagonal.  Diagonal g >= 0 meets the primitive ray (di, dj) in
@@ -79,15 +89,17 @@ are the leading levels, and for each of them exactly one element of the
 span is 1 there and 0 at the others.
 
 Everything returned is re-verified to commute with the caller's P by
-actual multiplication; the linear algebra is never trusted on its own.
-`centralizer_basis` runs the packed check below on every basis, so the
-`centralizer` and `decompose` subcommands get it.  `check_dixmier_pair`
-solves without it and certifies by the powers of P instead, which it
-forms and expands in the basis anyway: when the basis has as many
-vectors as there are powers up to the bound, the two spans are equal
-and every vector is a polynomial in P (its docstring holds the proof);
-otherwise it runs the packed check too.  The homogeneous components are
-each checked by one commutator.
+actual multiplication; the linear algebra is never trusted on its own,
+and neither is the floor.  `centralizer_basis` runs the packed check below
+on every basis, so the `centralizer` and `decompose` subcommands get it.
+`check_dixmier_pair` solves without it and certifies by the powers of P
+instead, which it forms and expands in the basis anyway: when the basis
+has as many vectors as there are powers up to the bound, the two spans
+are equal and every vector is a polynomial in P (its docstring holds the
+proof); otherwise it runs the packed check too.  A floor set too high
+leaves the descent with vectors outside the kernel, and one of the two
+checks raises on them.  The homogeneous components are each checked by
+one commutator, and their descent has floor 0.
 The packed check is one exact commutator [P, Z], through the dispatch of
 `commutator`, with the basis packed as Z = sum_k 2^(k s) d_k S_k, where
 d_k S_k is the k-th element over the lcm of its denominators.  Each
@@ -197,7 +209,7 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
     # the monomials of diagonal `step` up to its only ray point
     columns = [(level * di - m, level * dj - m) for m in range(level * dj + 1)]
     rows, targets = _ad_matrix_rows(q, columns)
-    kernel = _ray_descent(rows, targets, columns, leading_weight(q), direction)
+    kernel = _ray_descent(rows, targets, columns, leading_weight(q), direction, 0)
     if not kernel:
         return CentralizerComponent(ComponentKind.EMPTY)
     form = GradedForm(grade, to_graded_form(WeylElement._raw(kernel[0])).poly)
@@ -268,6 +280,11 @@ class CentralizerBasis:
     def truncated(self) -> bool:
         return not self.pick_levels or None in self.pick_levels
 
+    @cached_property
+    def _integer_forms(self) -> Mapping[int, tuple[int, list[tuple[int, int, int]]]]:
+        # level -> (d, [(i, j, n)]) with by_level[l] = sum n/d X^i Y^j
+        return MappingProxyType({l: _integer_terms(e) for l, e in self.by_level.items()})
+
     @property
     def dimension(self) -> int:
         return len(self.levels)
@@ -333,6 +350,7 @@ def _ray_descent(
     columns: list[Monomial],
     lead: Weight,
     direction: Weight,
+    floor: int,
 ) -> list[dict[Monomial, Fraction]]:
     """Kernel of the ad rows by forward substitution over the ray parameters.
 
@@ -346,6 +364,16 @@ def _ray_descent(
     read off.  A row that meets an unsolved column, or a column left
     unsolved, contradicts the structure in the module docstring and
     raises.
+
+    `floor` is a lower bound on the dimension of the kernel.  The levels
+    without a relation span a space that holds the kernel, so when they
+    are down to `floor` the two are equal, and a constraint row that comes
+    later is skipped unread: it holds on the kernel, and no relation it
+    could add is missing.  Pivot rows still run, so every column is
+    solved.  The skipped rows need no check of their own, because the
+    caller verifies the result by exact multiplication: a floor above the
+    true dimension leaves vectors that do not commute, and that check
+    raises on them.
     """
     i0, j0 = lead
     di, dj = direction
@@ -381,6 +409,8 @@ def _ray_descent(
         col = index.get((x - i0 + 1, y - j0 + 1))
         if col in ray:
             col = None  # the top term of a ray column vanishes: a constraint row
+        if col is None and len(free) - len(relations) <= floor:
+            continue  # the kernel is already cut down to the floor
         if any(c not in solved for c in row if c != col):
             raise InternalInconsistencyError("descent row meets a column that is not solved yet")
         den = lcm(*(solved[c][1] for c in row if c != col))
@@ -546,18 +576,22 @@ def _rebased(vectors: list[dict[Monomial, Fraction]], direction: Weight) -> list
     return out
 
 
-def _reduced_kernel(q: WeylElement, columns: list[Monomial], direction: Weight) -> list[dict[Monomial, Fraction]]:
+def _reduced_kernel(
+    q: WeylElement, columns: list[Monomial], direction: Weight, floor: int
+) -> list[dict[Monomial, Fraction]]:
     """The kernel of [q, -] on the columns, reduced along q's ray `direction`.
 
-    On the mirror side the descent runs on transpose(q) over the transposed
-    region, and its vectors, transposed back, are rebased onto q's ray.
+    `floor` is a lower bound on its dimension, passed to the descent.  On
+    the mirror side the descent runs on transpose(q) over the transposed
+    region, whose kernel has the same dimension, and its vectors,
+    transposed back, are rebased onto q's ray.
     """
     mirror = _mirror_side(q, columns, direction)
     side = transpose(q) if mirror else q
     if mirror:
         columns = sorted(((b, a) for a, b in columns), key=_order_key, reverse=True)
     rows, targets = _ad_matrix_rows(side, columns)
-    vectors = _ray_descent(rows, targets, columns, leading_weight(side), primitive_direction(side)[0])
+    vectors = _ray_descent(rows, targets, columns, leading_weight(side), primitive_direction(side)[0], floor)
     if not mirror:
         return vectors
     return _rebased([{(b, a): v for (a, b), v in vec.items()} for vec in vectors], direction)
@@ -603,7 +637,9 @@ def _solve(p: WeylElement, bound: int) -> CentralizerBasis:
 
     di, dj = direction
     by_level: dict[int, WeylElement] = {}
-    for vec in _reduced_kernel(q, columns, direction):
+    # 1, q, ..., q^n with n = bound // deg q lie in the region and are
+    # linearly independent: the floor of the descent
+    for vec in _reduced_kernel(q, columns, direction, bound // total_degree(q) + 1):
         lead = max(vec, key=_order_key)
         level = lead[0] // di
         if lead != (level * di, level * dj) or vec[lead] != 1 or level in by_level:
@@ -629,16 +665,33 @@ def expand_in_basis(basis: CentralizerBasis, q: WeylElement) -> dict[int, Fracti
     """Coordinates of q in the basis, or None when q is outside the span.
 
     The basis is leading-reduced, so the coordinate at level l is just the
-    coefficient of q at the ray monomial of level l.
+    coefficient c_l = n_l / e_l of q at the ray monomial of level l.  The
+    sum of the c_l S_l is rebuilt in integers: with S_l = T_l / d_l in
+    integer form and E the lcm of the e_l d_l, it is
+    sum_l n_l (E / (e_l d_l)) T_l over E.  q is in the span exactly when
+    that sum has as many nonzero terms as q and matches each of them, which
+    is compared by cross-multiplication, with no Fraction formed.
     """
     coords = {}
-    rebuilt = WeylElement()
     for l in basis.levels:
         c = q.coefficient(*basis.ray_point(l))
         if c:
             coords[l] = c
-            rebuilt = rebuilt + c * basis.by_level[l]
-    return coords if rebuilt == q else None
+    forms = basis._integer_forms
+    scales = {l: c.denominator * forms[l][0] for l, c in coords.items()}
+    den = lcm(*scales.values())
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for l, c in coords.items():
+        f = c.numerator * (den // scales[l])
+        for i, j, n in forms[l][1]:
+            sums[i, j] = get((i, j), 0) + f * n
+    terms = q.terms
+    if sum(1 for v in sums.values() if v) != len(terms):
+        return None
+    if any(c.numerator * den != get(m, 0) * c.denominator for m, c in terms.items()):
+        return None
+    return coords
 
 
 def ray_degree(q: WeylElement, basis: CentralizerBasis) -> int:

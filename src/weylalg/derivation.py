@@ -175,6 +175,12 @@ def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
     rests on `mul` and exact equality alone, like the packed check.  Fewer
     vectors cannot hold the powers, so the expansion has raised; with more,
     the answer is false, and the packed check verifies the returned basis.
+
+    The same n + 1 powers are the floor of the descent, which skips the
+    constraint rows left once its kernel is down to n + 1 dimensions.  The
+    certificate covers that too: the powers are formed and expanded
+    whatever the descent skipped, so a basis of n + 1 vectors is the span
+    of the powers, and a larger one goes through the packed check.
     """
     p, q = pair.p, pair.q
     if in_xy_subalgebra(p):

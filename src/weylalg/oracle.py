@@ -3,8 +3,9 @@
 X acts on the polynomial ring Q[x] as multiplication by x, and Y acts as
 d/dx; this is a faithful representation because d/dx(x*p) - x*d/dx(p) = p.
 The action never touches the normal-form product, so agreement between
-`mul` and composed actions is a genuinely independent check.  Each call
-forms every derivative of its polynomial that the element needs once.
+`mul` and composed actions is a genuinely independent check.  It is taken
+term by term in closed form, X^i Y^j x^n = n!/(n-j)! x^(n-j+i), and summed
+in integers over one denominator, so no derivative is formed.
 
 A polynomial is a tuple of Fraction coefficients, ascending in degree,
 with trailing zeros trimmed.
@@ -13,6 +14,7 @@ with trailing zeros trimmed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, perm
 from typing import Iterable
 
 from .core import Coefficient, WeylElement
@@ -33,22 +35,25 @@ def x_power(n: int) -> PolyVector:
 
 
 def act(a: WeylElement, p: PolyVector) -> PolyVector:
-    """Apply sum a_ij x^i (d/dx)^j to p, exactly, from p, p', ..., p^(max j)."""
-    derivatives = [p]
-    for _ in range(max_y_exponent(a)):
-        derivatives.append(tuple(n * c for n, c in enumerate(derivatives[-1]))[1:])
-    acc: dict[int, Fraction] = {}
-    for (i, j), c in a.terms.items():
-        for n, v in enumerate(derivatives[j]):
-            if v:
-                key = n + i
-                acc[key] = acc.get(key, Fraction(0)) + c * v
-    if not acc:
-        return ()
-    out = [Fraction(0)] * (max(acc) + 1)
-    for n, v in acc.items():
-        out[n] = v
-    return poly_from_coeffs(out)
+    """Apply sum a_ij x^i (d/dx)^j to p, exactly.
+
+    With a = sum c_ij / d X^i Y^j and p = sum v_n / e x^n over integers,
+    the term pair (i, j), n with j <= n adds c_ij v_n n!/(n-j)! at
+    x^(n-j+i), and the sums are over d e.
+    """
+    d = lcm(*(c.denominator for c in a.terms.values()))
+    e = lcm(*(v.denominator for v in p))
+    terms = [(i, j, c.numerator * (d // c.denominator)) for (i, j), c in a.terms.items()]
+    acc: dict[int, int] = {}
+    for n, v in enumerate(p):
+        if not v:
+            continue
+        v = v.numerator * (e // v.denominator)
+        for i, j, c in terms:
+            if j <= n:
+                key = n - j + i
+                acc[key] = acc.get(key, 0) + c * v * perm(n, j)
+    return poly_from_coeffs(Fraction(acc.get(n, 0), d * e) for n in range(max(acc, default=-1) + 1))
 
 
 def max_y_exponent(a: WeylElement) -> int:

@@ -149,8 +149,8 @@ def corrupted_component_descent(offset: Fraction):
     """
     descent = weylalg.centralizer._ray_descent
 
-    def corrupting(rows, targets, columns, lead, direction):
-        vectors = descent(rows, targets, columns, lead, direction)
+    def corrupting(rows, targets, columns, lead, direction, floor):
+        vectors = descent(rows, targets, columns, lead, direction, floor)
         for vec in vectors:
             vec[columns[-1]] = vec.get(columns[-1], Fraction(0)) + offset
         return vectors
@@ -364,8 +364,8 @@ def corrupted_descent(offsets: dict[int, Fraction]):
     """
     descent = weylalg.centralizer._ray_descent
 
-    def corrupting(rows, targets, columns, lead, direction):
-        vectors = descent(rows, targets, columns, lead, direction)
+    def corrupting(rows, targets, columns, lead, direction, floor):
+        vectors = descent(rows, targets, columns, lead, direction, floor)
         chosen = [vectors[n] for n in offsets]
         floor = min(_order_key(max(vec, key=_order_key)) for vec in chosen)
         di, dj = direction
@@ -491,7 +491,7 @@ def ad_rows_by_columns(p, columns):
     return [by_target[m] for m in ordered], ordered
 
 
-def full_elimination(rows, targets, columns, lead, direction):
+def full_elimination(rows, targets, columns, lead, direction, floor):
     """The kernel by sparse elimination of the whole ad matrix.
 
     Stands in for the ray descent, with its signature, so centralizer_basis
@@ -825,6 +825,128 @@ class TestSideChoice:
         assert_same_as_full_elimination(q, 12)
 
 
+def descent_with_floor(move):
+    """A `_ray_descent` that runs with move(floor) in place of the floor it is given."""
+    descent = weylalg.centralizer._ray_descent
+
+    def moved(rows, targets, columns, lead, direction, floor):
+        return descent(rows, targets, columns, lead, direction, move(floor))
+
+    return moved
+
+
+class ReadRow(dict):
+    """A row of the ad matrix that records whether the descent read it."""
+
+    read = False
+
+    def __iter__(self):
+        self.read = True
+        return super().__iter__()
+
+
+def floor_and_unread_rows(p, bound):
+    """(floor, rows the descent left unread, dimension) of `centralizer_basis(p, bound)`."""
+    descent = weylalg.centralizer._ray_descent
+    seen = {}
+
+    def reading(rows, targets, columns, lead, direction, floor):
+        rows = [ReadRow(row) for row in rows]
+        vectors = descent(rows, targets, columns, lead, direction, floor)
+        seen.update(floor=floor, unread=sum(not row.read for row in rows))
+        return vectors
+
+    with mock.patch.object(weylalg.centralizer, "_ray_descent", reading):
+        dimension = centralizer_basis(p, bound).dimension
+    return seen["floor"], seen["unread"], dimension
+
+
+@st.composite
+def sector_script_pairs(draw):
+    """The pair of a random automorphism script, with P in the drawn sector."""
+    rng, sector = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from("xy"))
+    limits = ScriptLimits(max_len=3, max_poly_degree=3, coeff_bound=3, max_total_degree=9)
+    pair = dixmier_pair_from_script(random_script(rng, limits))
+    while is_x_dominant(pair.p) != (sector == "x"):
+        pair = dixmier_pair_from_script(random_script(rng, limits))
+    return pair
+
+
+# an x-sector Dixmier pair whose descent skips rows at bound 18, and the
+# y-sector element of the golden `centralizer y sector` case.  A Dixmier pair
+# with P in the y sector has P = aY + c, whose region is its ray alone, so
+# the descent there has no constraint row to skip.
+FLOOR_PAIR = dixmier_pair_from_script(_parse_script("addY:Y^2; addX:X^3"))
+FLOOR_Y = parse_element("X*Y^2 + Y^3 + Y")
+FLOOR_CASES = [(FLOOR_PAIR.p, 18), (FLOOR_Y, 12)]
+
+
+class TestDescentFloor:
+    """The descent skips the constraint rows that come after its kernel is down to the powers of P."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            sector_elements("x"),
+            sector_elements("y"),
+            monomial_leading_forms(),
+            dixmier_family(),
+            script_pairs(),
+            sector_script_pairs().map(lambda pair: pair.p),
+        ),
+        st.integers(0, 12),
+    )
+    @pytest.mark.parametrize("side", SIDES)
+    def test_same_basis_without_the_floor(self, side, p, extra):
+        assume(not in_xy_subalgebra(p))
+        assume(side == "plain" or mirror_usable(canonical(p)))
+        bound = total_degree(p) + extra
+        with on_side(side):
+            basis = centralizer_basis(p, bound)
+            with mock.patch.object(weylalg.centralizer, "_ray_descent", descent_with_floor(lambda floor: 0)):
+                reference = centralizer_basis(p, bound)
+        assert json.dumps(basis_to_json(basis)) == json.dumps(basis_to_json(reference))
+        # the floor is a lower bound: the powers of p up to the bound
+        assert basis.dimension >= bound // total_degree(p) + 1
+
+    @pytest.mark.parametrize(
+        "source, bound, floor, skips",
+        [
+            ("(Y^2 + X^3 + 1)^2 + 2*X", 36, 7, False),  # dimension 12
+            ("X + (Y + X^2)^3", 36, 7, True),
+            (PAIR18, 54, 4, True),
+        ],
+        ids=["L", "P6", "pair18"],
+    )
+    def test_rows_skipped_only_at_the_floor(self, source, bound, floor, skips):
+        p = dixmier_pair_from_script(_parse_script(source)).p if ":" in source else parse_element(source)
+        for q in (p, transpose(p)):
+            solved_floor, unread, dimension = floor_and_unread_rows(q, bound)
+            assert solved_floor == floor
+            assert bool(unread) == skips == (dimension == floor)
+
+    @pytest.mark.parametrize("p, bound", FLOOR_CASES, ids=["x-sector", "y-sector"])
+    def test_floor_above_the_kernel_raises(self, p, bound, monkeypatch):
+        assert is_x_dominant(p) == (p is FLOOR_PAIR.p)
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", descent_with_floor(lambda floor: floor + 1))
+        with pytest.raises(InternalInconsistencyError, match="does not commute"):
+            centralizer_basis(p, bound)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-dixmier", format_element(FLOOR_PAIR.p), format_element(FLOOR_PAIR.q), "--max-total-degree", "18"],
+            ["centralizer", format_element(FLOOR_Y), "--max-total-degree", "12"],
+        ],
+        ids=["x-sector pair", "y-sector"],
+    )
+    def test_floor_above_the_kernel_exits_3(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", descent_with_floor(lambda floor: floor + 1))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: ") and "does not commute" in err
+
+
 class TestRayDegree:
     def test_constant(self):
         basis = centralizer_basis(power(X, 2), 6)
@@ -844,6 +966,80 @@ class TestRayDegree:
             ray_degree(Y, basis)
         with pytest.raises(MembershipError):
             ray_degree(ZERO, basis)
+
+
+def expand_by_fractions(basis, q):
+    """The expansion rebuilt in Fractions: sum c_l S_l as an element, compared with q."""
+    coords = {}
+    rebuilt = ZERO
+    for l in basis.levels:
+        c = q.coefficient(*basis.ray_point(l))
+        if c:
+            coords[l] = c
+            rebuilt = rebuilt + c * basis.by_level[l]
+    return coords if rebuilt == q else None
+
+
+def off_ray(basis, m) -> bool:
+    di, dj = basis.direction
+    return m[0] * dj != m[1] * di
+
+
+@st.composite
+def expansion_cases(draw):
+    """(basis, q, inside): q in the span, or moved out of it by one off-ray change."""
+    p = draw(st.one_of(sector_elements("x"), sector_elements("y"), dixmier_family(), script_pairs()))
+    assume(not in_xy_subalgebra(p))
+    basis = centralizer_basis(p, total_degree(p) + draw(st.integers(0, 4)))
+    coeffs = draw(st.lists(st.one_of(st.just(0), _coeffs), min_size=basis.dimension, max_size=basis.dimension))
+    q = ZERO
+    for c, e in zip(coeffs, basis.elements()):
+        q = q + c * e
+    change = draw(st.sampled_from(["none", "extra off-ray term", "wrong coefficient"]))
+    if change == "extra off-ray term":
+        a, b = draw(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda m: off_ray(basis, m)))
+        assume(a + b and (a, b) not in q.support())
+        q = q + from_terms([(a, b, draw(_coeffs))])
+    elif change == "wrong coefficient":
+        spots = sorted(m for m in q.support() if off_ray(basis, m))
+        assume(spots)
+        a, b = draw(st.sampled_from(spots))
+        q = q + from_terms([(a, b, draw(_coeffs))])
+    return basis, q, change == "none"
+
+
+class TestIntegerExpansion:
+    """`expand_in_basis` in integers agrees with the rebuild in Fractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(expansion_cases())
+    def test_agrees_with_fraction_rebuild(self, case):
+        basis, q, inside = case
+        coords = expand_in_basis(basis, q)
+        assert coords == expand_by_fractions(basis, q)
+        assert (coords is not None) == inside
+
+    @pytest.mark.parametrize("bound", [9, 18])
+    def test_zero_and_fractional_combinations(self, bound):
+        basis = centralizer_basis(DIXMIER_L - Fraction(1, 3) * X, bound)
+        assert expand_in_basis(basis, ZERO) == expand_by_fractions(basis, ZERO) == {}
+        q = ZERO
+        for n, l in enumerate(basis.levels):
+            q = q + Fraction(2 * n - 3, 7 + n) * basis.by_level[l]
+            assert expand_in_basis(basis, q) == expand_by_fractions(basis, q) == {
+                k: Fraction(2 * m - 3, 7 + m) for m, k in enumerate(basis.levels[: n + 1])
+            }
+        assert expand_in_basis(basis, q + Fraction(1, 5) * Y) is None
+
+    def test_term_count_decides_a_missing_term(self):
+        # q is the leading term of a basis vector alone: every term of q
+        # matches the rebuilt vector, which has more terms
+        basis = centralizer_basis(DIXMIER_L, 18)
+        for l in basis.levels[1:]:
+            lead = from_terms([(*basis.ray_point(l), 1)])
+            assert len(basis.by_level[l].terms) > 1
+            assert expand_in_basis(basis, lead) is None is expand_by_fractions(basis, lead)
+            assert expand_in_basis(basis, basis.by_level[l]) == {l: 1}
 
 
 class TestDecompose:

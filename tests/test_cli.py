@@ -20,9 +20,12 @@ from weylalg import (
     X,
     Y,
     ZERO,
+    centralizer_basis,
     dixmier_pair_from_script,
     from_terms,
     mul,
+    power,
+    ray_degree,
 )
 from weylalg.cli import (
     MAX_BOUND,
@@ -41,6 +44,9 @@ from weylalg.cli import (
 from weylalg.graded import GradedForm, XYPolynomial, Z
 
 from conftest import random_element, weyl_elements
+
+# Dixmier's L, whose basis has period 2: its decompositions use both residues
+DIXMIER_L = power(power(Y, 2) + power(X, 3) + 1, 2) + 2 * X
 
 
 def run_cli(argv, capsys):
@@ -250,6 +256,20 @@ class TestSubcommands:
         )
         assert code == 0
         assert out == "degree: 3\npick 0: X\ncoefficient 0: Z^3 + 2*Z\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=8, max_size=8))
+    def test_decompose_degree_is_the_ray_degree(self, coeffs):
+        # the CLI reads the degree off the decomposition; ray_degree expands
+        basis = centralizer_basis(DIXMIER_L, 24)
+        element = ZERO
+        for c, e in zip(coeffs, basis.elements()):
+            element = element + c * e
+        argv = ["decompose", format_element(element), "--basis-of", format_element(DIXMIER_L), "--max-total-degree", "24"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        expected = ray_degree(element, basis) if element else 0
+        assert out.getvalue().splitlines()[0] == f"degree: {expected}"
 
     def test_check_dixmier_snapshot(self, capsys):
         code, out, _ = run_cli(

@@ -320,8 +320,8 @@ def corrupted_kernel(change):
     """A `_reduced_kernel` whose output in q's coordinates goes through `change`."""
     kernel = weylalg.centralizer._reduced_kernel
 
-    def corrupting(q, columns, direction):
-        return change(q, columns, direction, kernel(q, columns, direction))
+    def corrupting(q, columns, direction, floor):
+        return change(q, columns, direction, kernel(q, columns, direction, floor))
 
     return corrupting
 
