@@ -45,23 +45,27 @@ monomial off at the free levels gives the basis in reduced echelon form
 under the same order: every vector is monic with a distinct leading term
 on the ray, and the basis is unique for the given bound.
 
-The constraint rows stop counting at a floor.  The powers 1, P, ..., P^n
-with n = D // deg P commute with P, lie in the region and have distinct
-total degrees, so the kernel has dimension at least n + 1.  The rows seen
-so far cut out a space that holds the kernel, one dimension per level
-without a relation; once those levels are n + 1, the two are equal, and
-every later constraint row holds on that space already.  On a Dixmier
-pair, where C(P) is k[P] by the paper's theorem and the kernel has
-exactly n + 1 vectors, the floor is always reached, and what happens
-there depends on the caller.  `check_dixmier_pair` holds the powers: the
-descent stops, reading no further row, and the basis is the powers in
-reduced echelon form along the ray, which `_rebased` forms by a
-triangular reduction, since P^k leads at level k l_P.  That form is
-unique, so the basis is the one the whole descent would give.
-`centralizer_basis` holds no powers: its descent skips the constraint
-rows after the floor and runs the pivot rows on, so it still solves
-every column.  The relations it keeps span the same space, so the basis
-is the same.
+Every solve stops at a floor.  The powers 1, P, ..., P^n, n = D // deg P,
+commute with P, lie in the region and have distinct total degrees, so
+the kernel has dimension at least n + 1.  The rows seen so far cut out a
+space that holds the kernel, one dimension per level without a relation;
+once those levels are n + 1, the two are equal, and the descent returns,
+reading no further row.  The basis is then the powers
+in reduced echelon form along the ray, which is unique, so it is the one
+the whole descent would give; `_rebased` forms it by a triangular
+reduction, since P^k leads at level k l_P.  The floor is reached
+whenever C(P) = k[P] in the region: on every Dixmier pair, by the
+paper's theorem, and on X + (Y + X^2)^3.  Dixmier's L, whose centralizer
+is larger, solves every column from bound 9 on.  The homogeneous
+solver's floor is 0: a grade whose one parameter gets a relation ends
+there, empty.
+
+Coefficients stay integers from the descent to the basis.  The descent
+returns each vector as an integer form, numerators by monomial over one
+positive denominator; `_rebased` and `_packed` take such forms, and the
+powers of P are formed in them by `core._product`, the kernel choice of
+`mul`.  Fractions are built once, for the basis elements, and the basis
+keeps the forms for `expand_in_basis`.
 
 A homogeneous P of diagonal degree r > 0 is X^r f(XY), and [P, -] maps
 diagonal g to diagonal g + r, so its centralizer splits into components,
@@ -103,24 +107,22 @@ of distinct mirror levels, lead at distinct levels of q's ray too, and
 the change of basis is triangular, as for the powers.
 
 Everything returned is certified by exact multiplication; the linear
-algebra is never trusted on its own, and neither is the floor.
-`centralizer_basis` runs the packed check below on every basis, so the
-`centralizer` and `decompose` subcommands get it.  `check_dixmier_pair`
-certifies by the powers of P instead, formed by `mul`: a stopped descent
-returns the basis as their reduced echelon form, so every vector is a
-polynomial in P, and a descent that stopped at another dimension than
-their number raises; a descent that does not stop has its basis checked
-by expanding the powers in it, and by the packed check when it has more
-vectors than there are powers (its docstring holds the proofs).  A floor
-set too high can stop the descent while its space is still larger than
-the span of the powers, and the solve raises on the dimension; in
-`centralizer_basis` it leaves vectors outside the kernel, and the packed
-check raises.  The homogeneous components are each checked by one
-commutator, and their descent has floor 0.
+algebra is never trusted on its own, and neither is the floor.  Which
+certificate a basis gets depends on its dimension against the n + 1
+powers of P (`centralizer_basis` holds the proofs).  A basis at the
+floor, which is every stopped descent, is certified by the powers: each
+is rebuilt exactly from the basis, so every vector is a polynomial in P.
+A basis above it, such as L's, gets the packed check below; one below it
+cannot rebuild every power, and raises.  A descent that stops at another
+dimension than the number of powers raises too, so a floor set too high
+exits 3.  `check_dixmier_pair` and the `centralizer` and `decompose`
+subcommands all go through `centralizer_basis` and get the same
+certificate.  The homogeneous components are each checked by one
+commutator.
 The packed check is one exact commutator [P, Z], through the dispatch of
-`commutator`, with the basis packed as Z = sum_k 2^(k s) d_k S_k, where
-d_k S_k is the k-th element over the lcm of its denominators.  Each
-coefficient of [d_P P, d_k S_k] is at most a bound B, the product of the
+`commutator`, with the basis packed as Z = sum_k 2^(k s) T_k, where
+T_k are the numerators of the k-th vector's integer form.  Each
+coefficient of [d_P P, T_k] is at most a bound B, the product of the
 1-norms of the two operands and the largest lowering factor they meet;
 with 2^(s-1) > B the k-th digit of a coefficient of [d_P P, Z] cannot be
 cancelled by the others, so [P, Z] = 0 exactly when every [P, S_k] = 0
@@ -148,7 +150,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
-from .core import _bracket_sums, _factors, _integer_terms
+from .core import _bracket_sums, _factors, _integer_terms, _over, _product
 from .errors import (
     BoundError,
     InternalInconsistencyError,
@@ -175,6 +177,7 @@ from .leading import (
 )
 
 Sector = Literal["x", "y"]
+Form = tuple[dict[Monomial, int], int]  # (T, e): sum of T[(i, j)] / e X^i Y^j, e > 0
 
 
 class ComponentKind(Enum):
@@ -199,7 +202,9 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
     only when di - dj divides it, and the columns are its monomials up to
     that point; the generator is the descent's one vector in graded form.
     At step 0 the one column (0, 0) meets no row, and the descent returns
-    1.  The descent runs on q itself, with the direction already found.
+    1.  Its floor is 0, so a grade whose one parameter gets a relation ends
+    there, empty.  The descent runs on q itself, with the direction already
+    found.
     """
     if not p:
         raise WrongSectorError("the centralizer of 0 is the whole algebra")
@@ -225,10 +230,10 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
         return CentralizerComponent(ComponentKind.EMPTY)
     # the monomials of diagonal `step` up to its only ray point
     columns = [(level * di - m, level * dj - m) for m in range(level * dj + 1)]
-    kernel = _ray_descent(_ad_rows(q, columns), columns, leading_weight(q), direction, 0, False)
+    kernel = _ray_descent(_ad_rows(q, columns), columns, leading_weight(q), direction, 0)
     if not kernel:
         return CentralizerComponent(ComponentKind.EMPTY)
-    form = GradedForm(grade, to_graded_form(WeylElement._raw(kernel[0])).poly)
+    form = GradedForm(grade, to_graded_form(_over(*kernel[0])).poly)
     if commutator(p, from_graded_form(form)):
         raise InternalInconsistencyError("claimed homogeneous generator does not commute")
     return CentralizerComponent(ComponentKind.LINE, form)
@@ -297,9 +302,9 @@ class CentralizerBasis:
         return not self.pick_levels or None in self.pick_levels
 
     @cached_property
-    def _integer_forms(self) -> Mapping[int, tuple[int, list[tuple[int, int, int]]]]:
-        # level -> (d, [(i, j, n)]) with by_level[l] = sum n/d X^i Y^j
-        return MappingProxyType({l: _integer_terms(e) for l, e in self.by_level.items()})
+    def _integer_forms(self) -> Mapping[int, Form]:
+        # level -> the integer form of by_level[l], filled by `centralizer_basis`
+        return MappingProxyType({l: _integer_form(e) for l, e in self.by_level.items()})
 
     @property
     def dimension(self) -> int:
@@ -317,21 +322,35 @@ def _order_key(m: Monomial) -> tuple[int, int]:
     return (m[0] - m[1], m[0])
 
 
-def _monomials_upto(bound: int) -> list[Monomial]:
-    monos = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
-    monos.sort(key=_order_key, reverse=True)
-    return monos
+def _integer_form(a: WeylElement) -> Form:
+    d = lcm(*(c.denominator for c in a.terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in a.terms.items()}, d
 
 
 def _newton_columns(p: WeylElement, bound: int) -> list[Monomial]:
-    """The monomials of `_monomials_upto(bound)` inside (bound / deg p) N(p)."""
+    """The monomials of total degree <= bound inside (bound / deg p) N(p), in the order.
+
+    For each X exponent a, an edge ((rho, sigma), h) keeps the b with
+    deg (rho a + sigma b) <= bound h, an interval that one floor division
+    bounds from above (sigma > 0) or below (sigma < 0), or keeps whole or
+    empty (sigma = 0).
+    """
     deg = total_degree(p)
     edges = newton_edges(p)
-    return [
-        (a, b)
-        for a, b in _monomials_upto(bound)
-        if all(deg * (rho * a + sigma * b) <= bound * h for (rho, sigma), h in edges)
-    ]
+    monos = []
+    for a in range(bound + 1):
+        lo, hi = 0, bound - a
+        for (rho, sigma), h in edges:
+            rest, step = bound * h - deg * rho * a, deg * sigma
+            if step > 0:
+                hi = min(hi, rest // step)
+            elif step < 0:
+                lo = max(lo, -(-rest // step))  # the ceiling of rest / step
+            elif rest < 0:
+                hi = -1
+        monos.extend((a, b) for b in range(lo, hi + 1))
+    monos.sort(key=_order_key, reverse=True)
+    return monos
 
 
 def _ad_rows(p: WeylElement, columns: list[Monomial]) -> Iterator[tuple[dict[int, int], Monomial]]:
@@ -412,8 +431,7 @@ def _ray_descent(
     lead: Weight,
     direction: Weight,
     floor: int,
-    stop: bool,
-) -> list[dict[Monomial, Fraction]] | int:
+) -> list[Form] | int:
     """Kernel of the ad rows by forward substitution over the ray parameters.
 
     `rows` yields (row, target) as `_ad_rows` does.  Parameter l is the
@@ -423,35 +441,32 @@ def _ray_descent(
     earlier relation that holds it, so each relation is over levels
     without a relation.  Solved columns keep the form they were solved in
     and take the relations when a row combines them; at the end every
-    column takes them, and each free level's basis vector is read off.  A
+    column takes them, and each free level's basis vector is read off as an
+    integer form over the lcm of the denominators its columns carry.  A
     row that meets an unsolved column, or a column left unsolved,
     contradicts the structure in the module docstring and raises.
 
     `floor` is a lower bound on the dimension of the kernel.  The rows read
     so far cut out a space V that holds the kernel, of one dimension per
     level without a relation, so when those levels are down to `floor`, V
-    is the kernel.  Then, with `stop` set, the descent returns their number
-    at once and reads no further row: the caller holds `floor` independent
-    kernel elements, which span V.  Without it, a constraint row that comes
-    later is skipped unread, since it holds on V and no relation it could
-    add is missing; pivot rows still run, so every column is solved.
-    Neither needs a check of its own here.  A floor above the true
-    dimension can stop the descent at a dimension the caller's elements
-    cannot fill, or leave vectors that do not commute, and the caller
-    raises on either.
+    is the kernel: the descent returns their number at once and reads no
+    further row, and the caller, who holds `floor` independent kernel
+    elements, takes their span.  That needs no check here.  A floor above
+    the true dimension can stop the descent at a dimension the caller's
+    elements cannot fill, and the caller raises.
     """
     i0, j0 = lead
     di, dj = direction
     index = {m: idx for idx, m in enumerate(columns)}
     # column index -> (integer vector over the levels, positive denominator)
     solved: dict[int, tuple[dict[int, int], int]] = {}
-    free: dict[int, dict[Monomial, Fraction]] = {}  # level -> basis vector
+    free: dict[int, dict[Monomial, int]] = {}  # level -> numerators of its basis vector
     for idx, (a, b) in enumerate(columns):
         if a * dj == b * di:
             level = a // di
             free[level], solved[idx] = {}, ({level: 1}, 1)
     ray = set(solved)
-    if stop and len(free) <= floor:
+    if len(free) <= floor:
         return len(free)
     # level -> t_level over the levels without a relation
     relations: dict[int, tuple[dict[int, int], int]] = {}
@@ -476,8 +491,6 @@ def _ray_descent(
         col = index.get((x - i0 + 1, y - j0 + 1))
         if col in ray:
             col = None  # the top term of a ray column vanishes: a constraint row
-        if col is None and len(free) - len(relations) <= floor:
-            continue  # the kernel is already cut down to the floor
         if any(c not in solved for c in row if c != col):
             raise InternalInconsistencyError("descent row meets a column that is not solved yet")
         den = lcm(*(solved[c][1] for c in row if c != col))
@@ -504,15 +517,20 @@ def _ray_descent(
             for l, (expr, d) in relations.items():
                 if p in expr:
                     relations[l] = reduced(expr, d)
-            if stop and len(free) - len(relations) <= floor:
+            if len(free) - len(relations) <= floor:
                 return len(free) - len(relations)
     if len(solved) != len(columns):
         raise InternalInconsistencyError("descent left a column unsolved")
-    for idx, (vec, den) in solved.items():
-        vec, den = reduced(vec, den)
+    final = [(columns[idx], *reduced(vec, den)) for idx, (vec, den) in solved.items()]
+    dens: dict[int, set[int]] = {l: set() for l in free if l not in relations}
+    for _, vec, den in final:
+        for l in vec:
+            dens[l].add(den)
+    common = {l: lcm(*ds) for l, ds in dens.items()}
+    for m, vec, den in final:
         for l, u in vec.items():
-            free[l][columns[idx]] = Fraction(u, den)
-    return [free[l] for l in sorted(free) if l not in relations]
+            free[l][m] = u * (common[l] // den)
+    return [(free[l], common[l]) for l in sorted(common)]
 
 
 def _subtract_multiple(target: dict[Monomial, Fraction], ratio: Fraction, row: dict[Monomial, Fraction]) -> None:
@@ -552,16 +570,17 @@ def _rref_by_leading(vectors: list[dict[Monomial, Fraction]]) -> list[dict[Monom
     return [by_lead[lead] for lead in sorted(by_lead, key=_order_key, reverse=True)]
 
 
-def _packed(p: WeylElement, elems: list[WeylElement]) -> tuple[WeylElement, int]:
-    """(Z, B) with Z = sum_k 2^(k s) d_k S_k: [p, Z] = 0 exactly when all [p, S_k] = 0.
+def _packed(p: WeylElement, forms: list[Mapping[Monomial, int]]) -> tuple[WeylElement, int]:
+    """(Z, B) with Z = sum_k 2^(k s) T_k: [p, Z] = 0 exactly when all [p, T_k] = 0.
 
-    d_k S_k is S_k in integer form (`core._integer_terms`).  By the monomial
-    rule each term pair of d_P P and d_k S_k adds to a coefficient of their
-    bracket at most once: the product of its two coefficients times a
-    difference of two lowering factors in [0, F].  So every coefficient is
-    at most B = |d_P P|_1 max_k |d_k S_k|_1 F in absolute value, where F is
-    the largest entry of the rows _factors(maxY(P), maxX(S_k)) and
-    _factors(maxY(S_k), maxX(P)) over all k.  The entries grow with both
+    T_k are the numerators of the integer form of a vector S_k = T_k / e_k,
+    so [p, T_k] = 0 exactly when [p, S_k] = 0.  By the monomial rule each
+    term pair of d_P P and T_k adds to a coefficient of their bracket at
+    most once: the product of its two coefficients times a difference of
+    two lowering factors in [0, F].  So every coefficient is at most
+    B = |d_P P|_1 max_k |T_k|_1 F in absolute value, where F is the
+    largest entry of the rows _factors(maxY(P), maxX(T_k)) and
+    _factors(maxY(T_k), maxX(P)) over all k.  The entries grow with both
     arguments, so the largest exponents give F, but a row's maximum is not
     always its last entry: _factors(3, 3) = (1, 9, 18, 6).  With
     2^(s-1) > B, each coefficient of [d_P P, Z] is sum_k 2^(k s) c_k with
@@ -570,17 +589,16 @@ def _packed(p: WeylElement, elems: list[WeylElement]) -> tuple[WeylElement, int]
     when every digit is 0.
     """
     _, p_terms = _integer_terms(p)
-    forms = [_integer_terms(e)[1] for e in elems]
-    x_s, y_s = (max(t[n] for terms in forms for t in terms) for n in (0, 1))
+    x_s, y_s = (max(m[n] for form in forms for m in form) for n in (0, 1))
     x_p, y_p = (max(t[n] for t in p_terms) for n in (0, 1))
     f = max(_factors(y_p, x_s) + _factors(y_s, x_p))
-    bound = sum(abs(c) for *_, c in p_terms) * max(sum(abs(c) for *_, c in t) for t in forms) * f
+    bound = sum(abs(c) for *_, c in p_terms) * max(sum(map(abs, form.values())) for form in forms) * f
     s = bound.bit_length() + 1
     acc: dict[Monomial, int] = {}
-    for k, terms in enumerate(forms):
-        for i, j, c in terms:
-            acc[i, j] = acc.get((i, j), 0) + (c << k * s)
-    return WeylElement._raw({m: Fraction(v) for m, v in acc.items() if v}), bound
+    for k, form in enumerate(forms):
+        for m, c in form.items():
+            acc[m] = acc.get(m, 0) + (c << k * s)
+    return _over(acc, 1), bound
 
 
 def _mirror_side(q: WeylElement, columns: list[Monomial], direction: Weight) -> bool:
@@ -599,7 +617,11 @@ def _mirror_side(q: WeylElement, columns: list[Monomial], direction: Weight) -> 
     return sum(1 for a, b in columns if b * mj == a * mi) < plain
 
 
-def _rebased(vectors: list[Mapping[Monomial, Fraction]], direction: Weight) -> list[dict[Monomial, Fraction]]:
+def _transposed(form: Form) -> Form:
+    return {(j, i): v for (i, j), v in form[0].items()}, form[1]
+
+
+def _rebased(vectors: list[Form], direction: Weight) -> list[Form]:
     """Kernel vectors in reduced echelon form along the ray of `direction`.
 
     The leading term of a kernel vector is its highest nonzero ray point,
@@ -611,15 +633,13 @@ def _rebased(vectors: list[Mapping[Monomial, Fraction]], direction: Weight) -> l
     the coefficient of V at level l, and over its own leading coefficient,
     is monic on its own ray point and 0 on the other leading ones: each S_l
     is 1 at level l and 0 at the other leading levels, and nothing below V
-    reaches a level above it.  The sums run in integers, over one
-    denominator per vector.  Two vectors that lead at one level are not
-    independent kernel vectors, and raise.
+    reaches a level above it.  The vectors come and go as integer forms,
+    and only the numerators of those given are read.  Two vectors that
+    lead at one level are not independent kernel vectors, and raise.
     """
     di, dj = direction
-    forms = []  # (leading level, integer form, its ray coefficients by level)
-    for vec in vectors:
-        den = lcm(*(v.denominator for v in vec.values()))
-        form = {m: v.numerator * (den // v.denominator) for m, v in vec.items()}
+    forms = []  # (leading level, numerators, their ray coefficients by level)
+    for form, _ in vectors:
         ray = {a // di: v for (a, b), v in form.items() if a * dj == b * di}
         if not ray:
             raise InternalInconsistencyError("a kernel vector has no term on the primitive ray")
@@ -640,60 +660,59 @@ def _rebased(vectors: list[Mapping[Monomial, Fraction]], direction: Weight) -> l
         den = s * ray[level]
         g = gcd(den, *acc.values()) * (1 if den > 0 else -1)
         out.append((level, {m: v // g for m, v in acc.items() if v}, den // g))
-    return [{m: Fraction(v, e) for m, v in t.items()} for _, t, e in out]
+    return [(t, e) for _, t, e in out]
 
 
-def _reduced_kernel(
-    q: WeylElement, columns: list[Monomial], direction: Weight, floor: int, stop: bool
-) -> list[dict[Monomial, Fraction]] | int:
+def _reduced_kernel(q: WeylElement, columns: list[Monomial], direction: Weight, floor: int) -> list[Form] | int:
     """The kernel of [q, -] on the columns, reduced along q's ray `direction`.
 
-    `floor` and `stop` are passed to the descent, and a stopped descent's
-    dimension is returned as it is.  On the mirror side the descent runs
-    on transpose(q) over the transposed region, whose kernel has the same
-    dimension, and its vectors, transposed back, are rebased onto q's ray.
+    `floor` is passed to the descent, and a stopped descent's dimension is
+    returned as it is.  On the mirror side the descent runs on transpose(q)
+    over the transposed region, whose kernel has the same dimension, and
+    its vectors, transposed back, are rebased onto q's ray.
     """
     mirror = _mirror_side(q, columns, direction)
     side = transpose(q) if mirror else q
     if mirror:
         columns = sorted(((b, a) for a, b in columns), key=_order_key, reverse=True)
     rows = _ad_rows(side, columns)
-    kernel = _ray_descent(rows, columns, leading_weight(side), primitive_direction(side)[0], floor, stop)
+    kernel = _ray_descent(rows, columns, leading_weight(side), primitive_direction(side)[0], floor)
     if not mirror or isinstance(kernel, int):
         return kernel
-    return _rebased([{(b, a): v for (a, b), v in vec.items()} for vec in kernel], direction)
+    return _rebased([_transposed(form) for form in kernel], direction)
+
+
+def _powers(q: WeylElement, n: int) -> list[Form]:
+    """1, q, ..., q^n as integer forms, each the last times q by `core._product`."""
+    d, terms = _integer_terms(q)
+    out: list[Form] = [({(0, 0): 1}, 1)]
+    for _ in range(n):
+        form, e = out[-1]
+        sums = _product([(i, j, v) for (i, j), v in form.items()], terms)
+        out.append(({m: v for m, v in sums.items() if v}, e * d))
+    return out
 
 
 def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
-    """All elements commuting with p of total degree at most `bound`."""
-    basis, _ = _solve(p, bound)
-    _packed_check(basis)
-    return basis
+    """All elements commuting with p of total degree at most `bound`.
 
+    The solve runs on q = p, or on q = transpose(p) in the y sector.  The
+    powers 1, q, ..., q^n with n = bound // deg q have the distinct total
+    degrees m deg q, lie in the region and commute with q, so the kernel
+    has dimension at least n + 1, the floor of the descent.  When the
+    descent stops there, the rows it read cut out a space V that holds the
+    kernel, and n + 1 <= dim ker <= dim V = n + 1, so V is the span of the
+    powers, and the basis is their unique reduced echelon form (`_rebased`).
+    A stop at another dimension, or powers that reduce to another number
+    of vectors, raise.
 
-def _packed_check(basis: CentralizerBasis) -> None:
-    """Raise unless every basis vector commutes with the basis element exactly."""
-    p = basis.element
-    if commutator(p, _packed(p, list(basis.by_level.values()))[0]):
-        raise InternalInconsistencyError("kernel vector does not commute exactly")
-
-
-def _solve(
-    p: WeylElement, bound: int, powers: list[WeylElement] | None = None
-) -> tuple[CentralizerBasis, bool]:
-    """The reduced basis of `centralizer_basis`, before the packed check.
-
-    `powers`, when given, are 1, p, ..., p^n with n = bound // deg p.  Then
-    the descent stops at its floor, n + 1, and the basis is the powers in
-    reduced echelon form (`check_dixmier_pair` holds the proof); the
-    second value says whether it was taken so.  A descent that stops at
-    another dimension, or a reduction that leaves another number of
-    vectors, raises.
-
-    Every vector is checked to be monic with its own leading term on the
-    ray, at a level no other vector has, and the constants are checked to
-    be the vector at level 0; whether the vectors commute with p is left to
-    the caller.
+    The certificate: a basis of at most n + 1 vectors must rebuild every
+    power exactly (`expand_in_basis`, in integers).  Then the n + 1 powers
+    lie in its span, of dimension at most n + 1, so the two spans are one
+    and every vector is a polynomial in q; fewer vectors raise.  A basis of
+    more vectors gets the packed check: one exact commutator of p with the
+    packed vectors (`_packed`).  Every vector must also be monic with its
+    own leading term on the ray, and the constants the vector at level 0.
     """
     if in_xy_subalgebra(p):
         raise WrongSectorError(
@@ -709,76 +728,81 @@ def _solve(
     x_sector = is_x_dominant(p)
     q = p if x_sector else transpose(p)
     direction, _ = primitive_direction(q)
-    columns = _newton_columns(q, bound)
-
-    # 1, q, ..., q^n with n = bound // deg q lie in the region and are
-    # linearly independent: the floor of the descent
-    kernel = _reduced_kernel(q, columns, direction, bound // total_degree(q) + 1, powers is not None)
-    from_powers = isinstance(kernel, int)
-    if from_powers:
-        vectors = _rebased([(e if x_sector else transpose(e)).terms for e in powers], direction)
-        if not kernel == len(vectors) == len(powers):
+    floor = bound // total_degree(q) + 1
+    kernel = _reduced_kernel(q, _newton_columns(q, bound), direction, floor)
+    powers = _powers(q, floor - 1) if isinstance(kernel, int) or len(kernel) <= floor else None
+    if isinstance(kernel, int):
+        vectors = _rebased(powers, direction)
+        if not kernel == len(vectors) == floor:
             raise InternalInconsistencyError(
-                f"the descent stopped at dimension {kernel}, where the {len(powers)} "
+                f"the descent stopped at dimension {kernel}, where the {floor} "
                 f"powers of the element reduce to {len(vectors)} vectors"
             )
         kernel = vectors
     di, dj = direction
-    by_level: dict[int, WeylElement] = {}
-    for vec in kernel:
-        lead = max(vec, key=_order_key)
+    forms: dict[int, Form] = {}
+    for t, e in kernel:
+        lead = max(t, key=_order_key)
         level = lead[0] // di
-        if lead != (level * di, level * dj) or vec[lead] != 1 or level in by_level:
+        if lead != (level * di, level * dj) or t[lead] != e or level in forms:
             raise InternalInconsistencyError(
                 "kernel vector is not monic with its own leading term on the primitive ray"
             )
-        by_level[level] = WeylElement._raw(vec)
-    if by_level.get(0) != ONE:
-        raise InternalInconsistencyError("the constants are missing from the kernel")
+        forms[level] = (t, e)
     if not x_sector:
-        by_level = {l: transpose(e) for l, e in by_level.items()}
+        forms = {l: _transposed(form) for l, form in forms.items()}
+        powers = powers and [_transposed(form) for form in powers]
         direction = (dj, di)
     basis = CentralizerBasis(
         element=p,
         bound=bound,
         direction=direction,
-        levels=tuple(sorted(by_level)),
-        by_level=by_level,
+        levels=tuple(sorted(forms)),
+        by_level={l: _over(*form) for l, form in forms.items()},
     )
-    return basis, from_powers
+    if basis.by_level.get(0) != ONE:
+        raise InternalInconsistencyError("the constants are missing from the kernel")
+    basis.__dict__["_integer_forms"] = MappingProxyType(forms)  # the cached property, from the solve
+    if powers is None:
+        if commutator(p, _packed(p, [t for t, _ in forms.values()])[0]):
+            raise InternalInconsistencyError("kernel vector does not commute exactly")
+    elif any(_expansion(basis, *form) is None for form in powers):
+        raise InternalInconsistencyError("a power of p is missing from its centralizer")
+    return basis
 
 
 def expand_in_basis(basis: CentralizerBasis, q: WeylElement) -> dict[int, Fraction] | None:
-    """Coordinates of q in the basis, or None when q is outside the span.
+    """Coordinates of q in the basis, or None when q is outside the span."""
+    return _expansion(basis, *_integer_form(q))
 
-    The basis is leading-reduced, so the coordinate at level l is just the
-    coefficient c_l = n_l / e_l of q at the ray monomial of level l.  The
-    sum of the c_l S_l is rebuilt in integers: with S_l = T_l / d_l in
-    integer form and E the lcm of the e_l d_l, it is
-    sum_l n_l (E / (e_l d_l)) T_l over E.  q is in the span exactly when
-    that sum has as many nonzero terms as q and matches each of them, which
-    is compared by cross-multiplication, with no Fraction formed.
+
+def _expansion(basis: CentralizerBasis, terms: Mapping[Monomial, int], den: int) -> dict[int, Fraction] | None:
+    """`expand_in_basis` of the element terms / den, in integers.
+
+    The basis is leading-reduced, so the coordinate at level l is the
+    coefficient n_l / den at its ray point.  With S_l = T_l / e_l and E the
+    lcm of the e_l, the element is in the span exactly when
+    sum_l n_l (E / e_l) T_l is E times `terms`, term for term.
     """
     coords = {}
     for l in basis.levels:
-        c = q.coefficient(*basis.ray_point(l))
-        if c:
-            coords[l] = c
+        n = terms.get(basis.ray_point(l))
+        if n:
+            coords[l] = n
     forms = basis._integer_forms
-    scales = {l: c.denominator * forms[l][0] for l, c in coords.items()}
-    den = lcm(*scales.values())
+    e = lcm(*(forms[l][1] for l in coords))
     sums: dict[Monomial, int] = {}
     get = sums.get
-    for l, c in coords.items():
-        f = c.numerator * (den // scales[l])
-        for i, j, n in forms[l][1]:
-            sums[i, j] = get((i, j), 0) + f * n
-    terms = q.terms
+    for l, n in coords.items():
+        t, d = forms[l]
+        f = n * (e // d)
+        for m, v in t.items():
+            sums[m] = get(m, 0) + f * v
     if sum(1 for v in sums.values() if v) != len(terms):
         return None
-    if any(c.numerator * den != get(m, 0) * c.denominator for m, c in terms.items()):
+    if any(n * e != get(m, 0) for m, n in terms.items()):
         return None
-    return coords
+    return {l: Fraction(n, den) for l, n in coords.items()}
 
 
 def ray_degree(q: WeylElement, basis: CentralizerBasis) -> int:

@@ -29,7 +29,7 @@ with f the lowering factor; the i = 0 terms, which cancel, are never formed.
 That loop, `_bracket_sums`, is the one bracket rule of the package: the
 centralizer's matrix assembly runs it on P against X^a and Y^b.
 
-The second kernel, `_sampled`, works through the action on Q[x] (X is
+The second kernel, `_sampled_sums`, works through the action on Q[x] (X is
 multiplication by x, Y is d/dx).  There
 
     X^i Y^j x^n = n (n-1) ... (n-j+1) x^(n+i-j),
@@ -51,12 +51,14 @@ raises InternalInconsistencyError.  The integers and the denominators are
 those of the normal-ordering kernels.  On dense operands of degree D this
 costs O(D^3) against O(D^5) for the monomial rule.
 
-`mul` and `commutator` choose a kernel per call.  With na, nb the term
-counts, fewer than 1000 term pairs go straight to the monomial rule, so
-small operands pay O(1) for the choice.  Otherwise the monomial rule is
-estimated at na nb (1 + L), with L the smaller of the mean Y exponent of
-the left factor and the mean X exponent of the right one (for the
-commutator the larger of the two orders), and sampling at
+`mul` and `commutator` choose a kernel per call; `_product` makes the
+choice of `mul` for operands already in integer form, and the centralizer
+forms the powers of P with it, with no Fraction in between.  With na, nb
+the term counts, fewer than 1000 term pairs go straight to the monomial
+rule, so small operands pay O(1) for the choice.  Otherwise the monomial
+rule is estimated at na nb (1 + L), with L the smaller of the mean Y
+exponent of the left factor and the mean X exponent of the right one (for
+the commutator the larger of the two orders), and sampling at
 (1 or 2) |grades a| |grades b| (M + 1) + G (M + 1)^2 / 2, with M the sum
 of the largest Y exponents and G the number of grades of the result.
 Sampling runs when its estimate is below 2.0 times the other.  The ratio
@@ -66,9 +68,10 @@ linear and quadratic elements, and random sparse elements with up to 150
 terms.  Below an estimate ratio of 1.5, sampling was faster on all 11
 pairs, by 1.1 to 14 times; between 1.5 and 4 it was faster on 18 of 25,
 by at most 2.2 times, and up to 1.4 times slower on the rest; above 4 it
-was slower on 20 of 25.  At 2.0 the centralizer's re-verification, one
-call of L or P6 against the packed basis at bounds 36 to 60 (ratios 3.6
-to 6.7), stays on the monomial rule.  Process times (CPython 3.11, one
+was slower on 20 of 25.  At 2.0 the centralizer's packed re-verification,
+one call of L against its packed basis at bounds 36 to 60, stays on the
+monomial rule; a basis at the floor of the powers of P, such as that of
+X + (Y + X^2)^3, makes no such call.  Process times (CPython 3.11, one
 core of a shared virtual machine):
 
     operands (terms)                              monomial, s    sampled, s
@@ -267,10 +270,8 @@ def _over(sums: dict[Monomial, int], den: int) -> WeylElement:
     return WeylElement._raw({key: Fraction(v, den) for key, v in sums.items() if v})
 
 
-def _mul_direct(a: WeylElement, b: WeylElement) -> WeylElement:
-    """a*b by the monomial rule."""
-    da, ta = _integer_terms(a)
-    db, tb = _integer_terms(b)
+def _product_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
+    """a*b over integer terms (i, j, n), by the monomial rule; cancelled sums stay 0."""
     sums: dict[Monomial, int] = {}
     get = sums.get
     for k, j, ca in ta:
@@ -280,7 +281,7 @@ def _mul_direct(a: WeylElement, b: WeylElement) -> WeylElement:
             for i, f in enumerate(_factors(j, l)):
                 key = (x - i, y - i)
                 sums[key] = get(key, 0) + c * f
-    return _over(sums, da * db)
+    return sums
 
 
 def _bracket_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
@@ -301,13 +302,6 @@ def _bracket_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]
                     key = (x - i, y - i)
                     sums[key] = get(key, 0) + c * w
     return sums
-
-
-def _commutator_direct(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] by the monomial rule (`_bracket_sums`)."""
-    da, ta = _integer_terms(a)
-    db, tb = _integer_terms(b)
-    return _over(_bracket_sums(ta, tb), da * db)
 
 
 def _differences(terms: list[tuple[int, int, int]]) -> dict[int, list[int]]:
@@ -354,12 +348,10 @@ def _read_back(samples: dict[int, list[int]]) -> dict[Monomial, int]:
     return sums
 
 
-def _sampled(a: WeylElement, b: WeylElement, bracket: bool) -> WeylElement:
-    """a*b, or [a, b] when `bracket`, through the action on x^0, x^1, ..."""
-    if not (a and b):
-        return ZERO
-    da, ta = _integer_terms(a)
-    db, tb = _integer_terms(b)
+def _sampled_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]], bracket: bool) -> dict[Monomial, int]:
+    """a*b, or [a, b] when `bracket`, over integer terms, through the action on x^0, x^1, ..."""
+    if not (ta and tb):
+        return {}
     fa, fb = _differences(ta), _differences(tb)
     # the result's w_g has degree below size[g], the most deg a_k + deg b_h + 1 over k + h = g
     size: dict[int, int] = {}
@@ -381,35 +373,45 @@ def _sampled(a: WeylElement, b: WeylElement, bracket: bool) -> WeylElement:
     compose(va, vb, add_int)
     if bracket:
         compose(vb, va, sub_int)
-    return _over(_read_back(samples), da * db)
+    return _read_back(samples)
 
 
-def _sampled_pays(a: WeylElement, b: WeylElement, bracket: bool) -> bool:
-    """True when the cost estimate favours `_sampled` over the direct rule."""
-    na, nb = len(a._terms), len(b._terms)
+def _sampled_pays(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]], bracket: bool) -> bool:
+    """True when the cost estimate favours sampling over the monomial rule, on integer terms."""
+    na, nb = len(ta), len(tb)
     if na * nb < _DIRECT_PAIRS:
         return False
-    xa = sum(i for i, _ in a._terms) / na
-    ya = sum(j for _, j in a._terms) / na
-    xb = sum(i for i, _ in b._terms) / nb
-    yb = sum(j for _, j in b._terms) / nb
+    xa = sum(i for i, _, _ in ta) / na
+    ya = sum(j for _, j, _ in ta) / na
+    xb = sum(i for i, _, _ in tb) / nb
+    yb = sum(j for _, j, _ in tb) / nb
     lowering = max(min(ya, xb), min(yb, xa)) if bracket else min(ya, xb)
-    grades_a = {i - j for i, j in a._terms}
-    grades_b = {i - j for i, j in b._terms}
+    grades_a = {i - j for i, j, _ in ta}
+    grades_b = {i - j for i, j, _ in tb}
     grades = max(grades_a) + max(grades_b) - min(grades_a) - min(grades_b) + 1
-    top = max(j for _, j in a._terms) + max(j for _, j in b._terms) + 1
+    top = max(j for _, j, _ in ta) + max(j for _, j, _ in tb) + 1
     sampled = (1 + bracket) * len(grades_a) * len(grades_b) * top + grades * top * top / 2
     return sampled < _SAMPLED_RATIO * na * nb * (1 + lowering)
 
 
+def _product(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
+    """The integer sums of a*b over integer terms, by the kernel `mul` chooses."""
+    return _sampled_sums(ta, tb, False) if _sampled_pays(ta, tb, False) else _product_sums(ta, tb)
+
+
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product, by the monomial rule or by sampling: the cheaper estimate."""
-    return _sampled(a, b, False) if _sampled_pays(a, b, False) else _mul_direct(a, b)
+    da, ta = _integer_terms(a)
+    db, tb = _integer_terms(b)
+    return _over(_product(ta, tb), da * db)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a*b - b*a, by the lowering terms i >= 1 or by sampling: the cheaper estimate."""
-    return _sampled(a, b, True) if _sampled_pays(a, b, True) else _commutator_direct(a, b)
+    da, ta = _integer_terms(a)
+    db, tb = _integer_terms(b)
+    sums = _sampled_sums(ta, tb, True) if _sampled_pays(ta, tb, True) else _bracket_sums(ta, tb)
+    return _over(sums, da * db)
 
 
 def transpose(a: WeylElement) -> WeylElement:

@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Literal, Sequence
 
-from .core import Monomial, ONE, WeylElement, X, Y, commutator, from_terms, mul, total_degree
+from .core import Monomial, ONE, WeylElement, X, Y, commutator, from_terms, total_degree
 from .core import _factors, _integer_terms, _over, transpose
-from .centralizer import CentralizerBasis, _packed_check, _solve, expand_in_basis
+from .centralizer import CentralizerBasis, centralizer_basis, expand_in_basis
 from .errors import (
     BoundEscapeError,
     ImpossiblePairError,
@@ -146,11 +146,10 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
 class PairCheckReport:
     """Comparison of a centralizer span with the span of powers of p.
 
-    `basis` is the reduced centralizer basis of p up to the bound,
-    certified whether `holds` is true or false (see `check_dixmier_pair`):
-    taken from the powers of p when the descent stops at their number, and
-    otherwise checked against them and, when it has more vectors, by exact
-    multiplication.
+    `basis` is the reduced centralizer basis of p up to the bound, from
+    `centralizer_basis` and certified by it whether `holds` is true or
+    false: by the powers of p when it has as many vectors as there are
+    powers, and by exact multiplication when it has more.
     """
 
     holds: bool
@@ -162,32 +161,14 @@ class PairCheckReport:
 def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
     """Does the centralizer of pair.p equal the polynomials in pair.p, up to bound?
 
-    The powers 1, p, ..., p^n with n = bound // deg p are formed first, by
-    `mul`.  p^m has total degree m deg p (the top-degree parts of a product
-    multiply as commutative polynomials), so the n + 1 powers are linearly
-    independent, and they lie in the solver's region and commute with p:
-    they span an (n + 1)-dimensional part of the kernel it solves for.
-
-    They are the floor of the descent, which stops as soon as its levels
-    without a relation number n + 1.  Proof that the basis is then the
-    span of the powers: the rows read so far cut out a space V that holds
-    the kernel, with one dimension per level without a relation, so
-    n + 1 <= dim ker <= dim V = n + 1, and V, the kernel and the span of the
-    powers are one space.  Its reduced echelon form along the ray is unique,
-    so the basis is the powers brought to that form, with no further row
-    read, no power expanded and no packed check; and the answer is true.
-    The solve raises unless the descent stopped at exactly n + 1 and the
-    powers reduce to n + 1 vectors, so a descent stopped on a larger space,
-    as a floor set too high can leave it, raises.  By the paper's theorem
-    the descent stops on every Dixmier pair.
-
-    A descent that does not stop returns the kernel it solved for, and the
-    powers certify it instead: each is rebuilt exactly from the basis, or
-    the check raises.  So the power span is contained in the computed span,
-    and the check reduces to comparing dimensions.  Fewer vectors cannot
-    hold the powers, so the expansion has raised; with more, the answer is
-    false, and the packed check of `centralizer_basis` verifies the
-    returned basis by exact multiplication.
+    The n + 1 powers 1, p, ..., p^n with n = bound // deg p are linearly
+    independent elements of the centralizer, and `centralizer_basis` stops
+    its descent once the kernel is down to their span, takes its basis from
+    them and certifies it by rebuilding each of them exactly; a basis of
+    more vectors it certifies by the packed check (its docstring holds the
+    proofs).  So the answer is whether the basis has n + 1 vectors, and by
+    the paper's theorem it is true on every Dixmier pair.  With more, the
+    answer is false, and the basis is verified by exact multiplication.
     """
     p, q = pair.p, pair.q
     if in_xy_subalgebra(p):
@@ -196,19 +177,12 @@ def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
         )
     if commutator(q, p) != ONE:
         raise NotDixmierPairError("[q, p] is not 1")
-    powers = [ONE]
-    for _ in range(bound // total_degree(p)):
-        powers.append(mul(powers[-1], p))
-    basis, from_powers = _solve(p, bound, powers)
-    if not from_powers:
-        if any(expand_in_basis(basis, p_m) is None for p_m in powers):
-            raise InternalInconsistencyError("a power of p is missing from its centralizer")
-        if basis.dimension != len(powers):
-            _packed_check(basis)
+    basis = centralizer_basis(p, bound)
+    powers_dim = bound // total_degree(p) + 1
     return PairCheckReport(
-        holds=basis.dimension == len(powers),
+        holds=basis.dimension == powers_dim,
         centralizer_dim=basis.dimension,
-        powers_dim=len(powers),
+        powers_dim=powers_dim,
         basis=basis,
     )
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from weylalg import WeylElement, from_terms
+from weylalg import WeylElement, from_terms, newton_edges, total_degree
+from weylalg.centralizer import _order_key
 
 
 def random_element(
@@ -54,3 +55,25 @@ def weyl_elements(draw, max_exp: int = 4, max_terms: int = 4, nonzero: bool = Fa
         i, j, c = terms[0]
         element = from_terms([(i, j, c)])
     return element
+
+
+def monomials_upto(bound: int):
+    """Every monomial of total degree at most `bound`, in the solver's column order."""
+    monos = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
+    monos.sort(key=_order_key, reverse=True)
+    return monos
+
+
+def triangle_columns(p: WeylElement, bound: int):
+    """The region (bound / deg p) N(p), each monomial of the triangle tested against every edge.
+
+    The reference for `centralizer._newton_columns`, which cuts the region
+    by one integer interval per X exponent.
+    """
+    deg = total_degree(p)
+    edges = newton_edges(p)
+    return [
+        (a, b)
+        for a, b in monomials_upto(bound)
+        if all(deg * (rho * a + sigma * b) <= bound * h for (rho, sigma), h in edges)
+    ]

@@ -54,8 +54,8 @@ from weylalg import (
 from weylalg.centralizer import (
     _ad_matrix_rows,
     _ad_rows,
+    _integer_form,
     _mirror_side,
-    _monomials_upto,
     _newton_columns,
     _order_key,
     _packed,
@@ -66,7 +66,7 @@ from weylalg.core import _factors, _integer_terms
 from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
 
-from conftest import _coeffs, weyl_elements
+from conftest import _coeffs, monomials_upto, triangle_columns, weyl_elements
 
 X2Y = from_terms([(2, 1, 1)])
 X3Y = from_terms([(3, 1, 1)])
@@ -142,24 +142,27 @@ def homogeneous_elements(draw):
     return from_terms([(m + d, m, c) if d > 0 else (m, m - d, c) for m, c in terms])
 
 
-def corrupted_component_descent(offset: Fraction):
-    """A `_ray_descent` that adds `offset` to each vector at the last column.
+def corrupted_component_descent(offset: int):
+    """A `_ray_descent` that adds `offset` to the numerators of each vector at the last column.
 
     The homogeneous solver's columns run down one diagonal from its ray
     point, so the last one is off the ray and on the solved diagonal.
     """
     descent = weylalg.centralizer._ray_descent
 
-    def corrupting(rows, columns, lead, direction, floor, stop):
-        vectors = descent(rows, columns, lead, direction, floor, stop)
-        for vec in vectors:
-            vec[columns[-1]] = vec.get(columns[-1], Fraction(0)) + offset
+    def corrupting(rows, columns, lead, direction, floor):
+        vectors = descent(rows, columns, lead, direction, floor)
+        for vec, _ in vectors:
+            vec[columns[-1]] = vec.get(columns[-1], 0) + offset
         return vectors
 
     return corrupting
 
 
 H = parse_element("X^4*Y^2 + X^3*Y + 2*X^2")
+H_Y = parse_element("X^2*Y^4 + X*Y^3 + 2*Y^2")
+P6 = parse_element("X + (Y + X^2)^3")
+DIXMIER_L_FOURIER = parse_element("(X^2 + Y^3 + 1)^2 + 2*Y")
 
 
 class TestHomogeneousComponent:
@@ -218,12 +221,12 @@ class TestHomogeneousComponent:
     @pytest.mark.parametrize("p, grade", [(H, 4), (transpose(H), -4)], ids=["x-sector", "y-sector"])
     def test_corrupted_generator_raises(self, p, grade, monkeypatch):
         assert homogeneous_centralizer_component(p, grade).kind is ComponentKind.LINE
-        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_component_descent(Fraction(1, 7)))
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_component_descent(1))
         with pytest.raises(InternalInconsistencyError, match="does not commute"):
             homogeneous_centralizer_component(p, grade)
 
     def test_corrupted_generator_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_component_descent(Fraction(1, 7)))
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", corrupted_component_descent(1))
         assert main(["homog-centralizer", "X^4*Y^2 + X^3*Y + 2*X^2", "--j", "4"]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
 
@@ -355,8 +358,8 @@ def on_side(side: str):
 SIDES = ["plain", "mirror"]
 
 
-def corrupted_descent(offsets: dict[int, Fraction]):
-    """A `_ray_descent` that adds offsets[n] to vector n at one off-ray monomial.
+def corrupted_descent(offsets: dict[int, int]):
+    """A `_ray_descent` that gives vector n the coefficient offsets[n] at one off-ray monomial.
 
     The monomial is the first column of the region, off the ray, below the
     leading term of every corrupted vector and outside their supports, so the
@@ -365,9 +368,9 @@ def corrupted_descent(offsets: dict[int, Fraction]):
     """
     descent = weylalg.centralizer._ray_descent
 
-    def corrupting(rows, columns, lead, direction, floor, stop):
-        vectors = descent(rows, columns, lead, direction, floor, stop)
-        chosen = [vectors[n] for n in offsets]
+    def corrupting(rows, columns, lead, direction, floor):
+        vectors = descent(rows, columns, lead, direction, floor)
+        chosen = [vectors[n][0] for n in offsets]
         floor = min(_order_key(max(vec, key=_order_key)) for vec in chosen)
         di, dj = direction
         spot = next(
@@ -378,14 +381,15 @@ def corrupted_descent(offsets: dict[int, Fraction]):
             and all((a, b) not in vec for vec in chosen)
         )
         for n, c in offsets.items():
-            vectors[n][spot] = c
+            vec, den = vectors[n]
+            vec[spot] = c * den
         return vectors
 
     return corrupting
 
 
 DIXMIER_L_MIRROR = transpose(DIXMIER_L)
-CORRUPTIONS = {"one vector": {-1: Fraction(1, 7)}, "two opposite": {-1: Fraction(3), -2: Fraction(-3)}}
+CORRUPTIONS = {"one vector": {-1: 1}, "two opposite": {-1: 3, -2: -3}}
 
 
 class TestReverificationCatchesCorruption:
@@ -429,7 +433,7 @@ class TestReverificationCatchesCorruption:
 
         def duplicating(*args):
             vectors = descent(*args)
-            vectors[-1] = dict(vectors[-2])
+            vectors[-1] = (dict(vectors[-2][0]), vectors[-2][1])
             return vectors
 
         monkeypatch.setattr(weylalg.centralizer, "_ray_descent", duplicating)
@@ -455,7 +459,7 @@ class TestPackingLemma:
     @example((DIXMIER_L, centralizer_basis(DIXMIER_L, 18).elements() + [X]))
     def test_digits_within_bound_and_zero_exactly_when_all_commute(self, case):
         p, elems = case
-        packed, bound = _packed(p, elems)
+        packed, bound = _packed(p, [_integer_form(e)[0] for e in elems])
         d_p, _ = _integer_terms(p)
         brackets = [commutator(p, e) for e in elems]
         for e, bracket in zip(elems, brackets):
@@ -492,17 +496,25 @@ def ad_rows_by_columns(p, columns):
     return [by_target[m] for m in ordered], ordered
 
 
-def full_elimination(rows, columns, lead, direction, floor, stop):
+def integer_form(vec):
+    """(numerators, denominator) of a vector of Fractions, over the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    return {m: v.numerator * (den // v.denominator) for m, v in vec.items()}, den
+
+
+def full_elimination(rows, columns, lead, direction, floor):
     """The kernel by sparse elimination of the whole ad matrix.
 
     Stands in for the ray descent, with its signature, so centralizer_basis
     runs the earlier path: sparse_kernel over the assembled rows, reduced
-    by _rref_by_leading.  It reads every row and never stops.
+    by _rref_by_leading, as integer forms.  It reads every row and never
+    stops.
     """
     rows = [row for row, _ in rows]
-    return _rref_by_leading(
+    kernel = _rref_by_leading(
         [{columns[idx]: v for idx, v in vec.items()} for vec in sparse_kernel(rows, len(columns))]
     )
+    return [integer_form(vec) for vec in kernel]
 
 
 def ad_stream_by_columns(p, columns):
@@ -512,7 +524,7 @@ def ad_stream_by_columns(p, columns):
 
 def full_triangle(p, bound):
     """Every monomial up to the bound, in place of the Newton-polygon region."""
-    return _monomials_upto(bound)
+    return monomials_upto(bound)
 
 
 def assert_same_as_full_elimination(p, bound, side=None):
@@ -621,7 +633,7 @@ class TestAssemblyByShifts:
     @given(assembly_elements(), st.integers(0, 4), st.booleans())
     def test_rows_equal_per_column_rows(self, p, extra, in_polygon):
         bound = total_degree(p) + extra
-        columns = _newton_columns(p, bound) if in_polygon else _monomials_upto(bound)
+        columns = _newton_columns(p, bound) if in_polygon else monomials_upto(bound)
         # the shift assembly makes no row for a target whose entries all cancel
         assert _ad_matrix_rows(p, columns) == without_empty_rows(*ad_rows_by_columns(p, columns))
 
@@ -859,8 +871,8 @@ def descent_with_floor(move):
     """A `_ray_descent` that runs with move(floor) in place of the floor it is given."""
     descent = weylalg.centralizer._ray_descent
 
-    def moved(rows, columns, lead, direction, floor, stop):
-        return descent(rows, columns, lead, direction, move(floor), stop)
+    def moved(rows, columns, lead, direction, floor):
+        return descent(rows, columns, lead, direction, move(floor))
 
     return moved
 
@@ -880,9 +892,9 @@ def floor_and_unread_rows(p, bound):
     descent = weylalg.centralizer._ray_descent
     seen = {}
 
-    def reading(rows, columns, lead, direction, floor, stop):
+    def reading(rows, columns, lead, direction, floor):
         rows = [(ReadRow(row), target) for row, target in rows]
-        vectors = descent(rows, columns, lead, direction, floor, stop)
+        vectors = descent(rows, columns, lead, direction, floor)
         seen.update(floor=floor, unread=sum(not row.read for row, _ in rows))
         return vectors
 
@@ -902,17 +914,17 @@ def sector_script_pairs(draw):
     return pair
 
 
-# an x-sector Dixmier pair whose descent skips rows at bound 18, and the
+# an x-sector Dixmier pair whose descent stops early at bound 18, and the
 # y-sector element of the golden `centralizer y sector` case.  A Dixmier pair
 # with P in the y sector has P = aY + c, whose region is its ray alone, so
-# the descent there has no constraint row to skip.
+# the descent there stops before its first row.
 FLOOR_PAIR = dixmier_pair_from_script(_parse_script("addY:Y^2; addX:X^3"))
 FLOOR_Y = parse_element("X*Y^2 + Y^3 + Y")
 FLOOR_CASES = [(FLOOR_PAIR.p, 18), (FLOOR_Y, 12)]
 
 
 class TestDescentFloor:
-    """The descent skips the constraint rows that come after its kernel is down to the powers of P."""
+    """The descent stops once its kernel is down to the powers of P, and reads no further row."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -926,8 +938,11 @@ class TestDescentFloor:
         ),
         st.integers(0, 12),
     )
+    @example(p=P6, extra=12)
+    @example(p=H_Y, extra=6)
     @pytest.mark.parametrize("side", SIDES)
     def test_same_basis_without_the_floor(self, side, p, extra):
+        """The basis taken from the powers is the one the full descent solves for."""
         assume(not in_xy_subalgebra(p))
         assume(side == "plain" or mirror_usable(canonical(p)))
         bound = total_degree(p) + extra
@@ -948,7 +963,7 @@ class TestDescentFloor:
         ],
         ids=["L", "P6", "pair18"],
     )
-    def test_rows_skipped_only_at_the_floor(self, source, bound, floor, skips):
+    def test_rows_left_unread_only_at_the_floor(self, source, bound, floor, skips):
         p = dixmier_pair_from_script(_parse_script(source)).p if ":" in source else parse_element(source)
         for q in (p, transpose(p)):
             solved_floor, unread, dimension = floor_and_unread_rows(q, bound)
@@ -957,22 +972,27 @@ class TestDescentFloor:
 
     @pytest.mark.parametrize("p, bound", FLOOR_CASES, ids=["x-sector", "y-sector"])
     def test_floor_above_the_kernel_raises(self, p, bound, monkeypatch):
+        """The descent stops one dimension above the powers of P."""
         assert is_x_dominant(p) == (p is FLOOR_PAIR.p)
+        powers = bound // total_degree(p) + 1
         monkeypatch.setattr(weylalg.centralizer, "_ray_descent", descent_with_floor(lambda floor: floor + 1))
-        with pytest.raises(InternalInconsistencyError, match="does not commute"):
+        with pytest.raises(InternalInconsistencyError, match=f"stopped at dimension {powers + 1}, where the {powers} powers"):
             centralizer_basis(p, bound)
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # check-dixmier stops the descent at the floor, one dimension
-            # above the 4 powers of P
+            # both stop the descent at the floor, one dimension above the
+            # powers of P
             (
                 ["check-dixmier", format_element(FLOOR_PAIR.p), format_element(FLOOR_PAIR.q)]
                 + ["--max-total-degree", "18"],
                 "the descent stopped at dimension 5, where the 4 powers",
             ),
-            (["centralizer", format_element(FLOOR_Y), "--max-total-degree", "12"], "does not commute"),
+            (
+                ["centralizer", format_element(FLOOR_Y), "--max-total-degree", "12"],
+                "the descent stopped at dimension 6, where the 5 powers",
+            ),
         ],
         ids=["x-sector pair", "y-sector"],
     )
@@ -981,6 +1001,69 @@ class TestDescentFloor:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal inconsistency: ") and message in err
+
+
+def packed_calls(p, bound) -> tuple[int, int]:
+    """(calls of the commutator `centralizer_basis` makes, dimension of its basis)."""
+    spy = mock.Mock(wraps=weylalg.centralizer.commutator)
+    with mock.patch.object(weylalg.centralizer, "commutator", spy):
+        dimension = centralizer_basis(p, bound).dimension
+    return spy.call_count, dimension
+
+
+class TestCertificateByDimension:
+    """The packed commutator runs exactly when the basis is above the floor of the powers of P."""
+
+    @pytest.mark.parametrize(
+        "p, bound, above",
+        [
+            (DIXMIER_L, 18, True),
+            (DIXMIER_L, 36, True),
+            (DIXMIER_L_MIRROR, 36, True),
+            (DIXMIER_L_FOURIER, 24, True),
+            (DIXMIER_L, 6, False),  # L's first element outside k[L] has degree 9
+            (P6, 36, False),
+            (H, 30, False),
+            (H_Y, 30, False),
+        ],
+        ids=["L@18", "L@36", "L-mirror@36", "L-fourier@24", "L@6", "P6@36", "H@30", "H-y@30"],
+    )
+    def test_named(self, p, bound, above):
+        calls, dimension = packed_calls(p, bound)
+        floor = bound // total_degree(p) + 1
+        assert (dimension > floor) == above
+        assert calls == (1 if above else 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sector_script_pairs(), st.integers(0, 9))
+    def test_script_pairs_run_none(self, pair, extra):
+        bound = total_degree(pair.p) + extra
+        assert packed_calls(pair.p, bound) == (0, bound // total_degree(pair.p) + 1)
+
+
+class TestRegionByIntervals:
+    """`_newton_columns` cuts one interval per X exponent; the reference tests every monomial of the triangle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(sector_elements("x"), sector_elements("y"), monomial_leading_forms(), dixmier_family()),
+        st.integers(0, 6),
+    )
+    @pytest.mark.parametrize("side", SIDES)
+    def test_same_columns_as_the_triangle(self, side, p, extra):
+        assume(not in_xy_subalgebra(p))
+        q = canonical(p) if side == "plain" else transpose(canonical(p))
+        bound = total_degree(q) + extra
+        columns = _newton_columns(q, bound)
+        assert columns == triangle_columns(q, bound)
+        # the region of transpose(q) is the transpose of the region of q
+        mirrored = sorted(((b, a) for a, b in columns), key=_order_key, reverse=True)
+        assert mirrored == _newton_columns(transpose(q), bound)
+
+    @pytest.mark.parametrize("p", [DIXMIER_L, P6, H, DIXMIER_L_FOURIER], ids=["L", "P6", "H", "L-fourier"])
+    def test_named_at_36(self, p):
+        q = canonical(p)
+        assert _newton_columns(q, 36) == triangle_columns(q, 36)
 
 
 class TestRayDegree:

@@ -22,13 +22,41 @@ from weylalg import (
     total_degree,
     transpose,
 )
-from weylalg.centralizer import _packed
+from weylalg.centralizer import _integer_form, _packed
 from weylalg.cli import _parse_script, main, parse_element
-from weylalg.core import _commutator_direct, _mul_direct, _read_back, _sampled, _sampled_pays
+from weylalg.core import (
+    _bracket_sums,
+    _integer_terms,
+    _over,
+    _product_sums,
+    _read_back,
+    _sampled_pays,
+    _sampled_sums,
+)
 from weylalg.derivation import dixmier_pair_from_script
 from weylalg.oracle import act, max_y_exponent, oracle_mul_check, x_power
 
 from conftest import weyl_elements
+
+
+def _on_elements(sums):
+    """A kernel over integer terms, as a map of two elements."""
+
+    def kernel(a, b, *flag):
+        (da, ta), (db, tb) = _integer_terms(a), _integer_terms(b)
+        return _over(sums(ta, tb, *flag), da * db)
+
+    return kernel
+
+
+_sampled = _on_elements(_sampled_sums)
+_mul_direct = _on_elements(_product_sums)
+_commutator_direct = _on_elements(_bracket_sums)
+
+
+def pays(a, b, bracket):
+    """`_sampled_pays` on the integer terms of two elements."""
+    return _sampled_pays(_integer_terms(a)[1], _integer_terms(b)[1], bracket)
 
 
 class TestFromTerms:
@@ -316,23 +344,23 @@ def test_gen_pair_witness_is_one_on_both_kernels():
     assert (total_degree(p), len(p.terms), len(q.terms)) == (54, 679, 67)
     assert _sampled(q, p, True) == ONE
     assert _commutator_direct(q, p) == ONE
-    assert _sampled_pays(q, p, True)
+    assert pays(q, p, True)
 
 
 def test_dispatch_keeps_small_operands_and_the_reverification_on_the_monomial_rule():
     dense = power(X + Y + 1, 14), power(X - 2 * Y + 3, 14)
-    assert _sampled_pays(*dense, False) and _sampled_pays(*dense, True)
-    assert not _sampled_pays(power(X + Y + 1, 5), power(X - 2 * Y + 3, 5), False)  # 21 x 21 terms
+    assert pays(*dense, False) and pays(*dense, True)
+    assert not pays(power(X + Y + 1, 5), power(X - 2 * Y + 3, 5), False)  # 21 x 21 terms
     dixmier_l = parse_element("(Y^2 + X^3 + 1)^2 + 2*X")
     basis = centralizer_basis(dixmier_l, 36)
     assert max(len(e.terms) for e in basis.elements()) * len(dixmier_l.terms) >= 1000
-    assert not any(_sampled_pays(dixmier_l, e, True) for e in basis.elements())
+    assert not any(pays(dixmier_l, e, True) for e in basis.elements())
     # the re-verification makes one packed call on the union of the supports:
     # 8 x 359 term pairs against 8 x 1101 for one call per element
-    packed, _ = _packed(dixmier_l, basis.elements())
+    packed, _ = _packed(dixmier_l, [_integer_form(e)[0] for e in basis.elements()])
     assert sum(len(e.terms) for e in basis.elements()) == 1101
     assert len(dixmier_l.terms) * len(packed.terms) == 8 * 359
-    assert not _sampled_pays(dixmier_l, packed, True)
+    assert not pays(dixmier_l, packed, True)
 
 
 class TestReadBack:
@@ -350,7 +378,7 @@ class TestReadBack:
 
     def test_corrupted_sample_exits_3(self, capsys, monkeypatch):
         left, right = "(X+Y+1)^12", "(X-2*Y+3)^12"
-        assert _sampled_pays(parse_element(left), parse_element(right), True)
+        assert pays(parse_element(left), parse_element(right), True)
 
         def corrupted(samples):
             copy = {g: list(values) for g, values in samples.items()}

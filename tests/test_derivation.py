@@ -46,12 +46,12 @@ from weylalg import (
     total_degree,
 )
 
-from weylalg.centralizer import _ad_matrix_rows, _monomials_upto, _order_key
-from weylalg.cli import _parse_script, basis_to_json, format_element, main
+from weylalg.centralizer import _ad_matrix_rows, _order_key
+from weylalg.cli import _parse_script, basis_to_json, format_element, main, parse_element
 from weylalg.linalg import sparse_solvable
 from weylalg.oracle import act, max_y_exponent, x_power
 
-from conftest import weyl_elements
+from conftest import monomials_upto, weyl_elements
 
 XY = mul(X, Y)
 P_SHIFTED = X + power(Y, 2)
@@ -112,7 +112,7 @@ def partner_free_by_elimination(p, bound: int) -> bool:
     through `sparse_solvable`; `_ad_matrix_rows` scales p by the lcm of its
     denominators, which leaves solvability unchanged.
     """
-    columns = _monomials_upto(bound)
+    columns = monomials_upto(bound)
     ncols = len(columns)
     rows, targets = _ad_matrix_rows(p, columns)
     rows = [dict(r) for r in rows]
@@ -280,21 +280,21 @@ CERTIFIED_PAIRS = [
 CERTIFIED_IDS = ["x-sector", "y-sector"]
 
 
-def _lead_key(vec):
-    return _order_key(max(vec, key=_order_key))
+def _lead_key(form):
+    return _order_key(max(form[0], key=_order_key))
 
 
 def _drop_top(q, columns, direction, vectors):
     top = max(vectors, key=_lead_key)
-    return [vec for vec in vectors if vec is not top]
+    return [form for form in vectors if form is not top]
 
 
 def _off_ray_term(q, columns, direction, vectors):
     # Y^k lies below the leading term of every vector of positive level,
     # and off the ray, since the ray of an x-dominant q has di >= 1
-    top = max(vectors, key=_lead_key)
+    top, _ = max(vectors, key=_lead_key)
     k = next(k for k in count(1) if (0, k) not in top)
-    top[0, k] = Fraction(1, 7)
+    top[0, k] = 1
     return vectors
 
 
@@ -305,7 +305,7 @@ def _free_ray_vector(q, columns, direction, vectors):
     region has none.  The powers still expand exactly, so only the packed
     check can tell that the vector does not commute with q."""
     di, dj = direction
-    leads = {max(vec, key=_order_key) for vec in vectors}
+    leads = {max(vec, key=_order_key) for vec, _ in vectors}
     powers = [power(q, m) for m in range(len(vectors))]
     free = [
         (a, b)
@@ -315,20 +315,21 @@ def _free_ray_vector(q, columns, direction, vectors):
         and not any(power_m.coefficient(a, b) for power_m in powers)
     ]
     level = max(free, key=_order_key)[0] // di if free else max(a // di for a, _ in leads) + 1
-    return vectors + [{(level * di, level * dj): Fraction(1), (0, 1): Fraction(1)}]
+    return vectors + [({(level * di, level * dj): 1, (0, 1): 1}, 1)]
 
 
 def corrupted_kernel(change):
     """A `_reduced_kernel` whose output in q's coordinates goes through `change`.
 
     It runs with the floor forced to 0, so the descent never stops and
-    returns its vectors, which `check_dixmier_pair` then certifies by the
-    expansions of the powers and the packed check.
+    returns its vectors, which `centralizer_basis` then certifies by the
+    expansions of the powers, or by the packed check when there are more
+    vectors than powers.
     """
     kernel = weylalg.centralizer._reduced_kernel
 
-    def corrupting(q, columns, direction, floor, stop):
-        return change(q, columns, direction, kernel(q, columns, direction, 0, stop))
+    def corrupting(q, columns, direction, floor):
+        return change(q, columns, direction, kernel(q, columns, direction, 0))
 
     return corrupting
 
@@ -353,7 +354,7 @@ def recorded_descent(seen: dict):
     """
     descent = weylalg.centralizer._ray_descent
 
-    def recording(rows, columns, lead, direction, floor, stop):
+    def recording(rows, columns, lead, direction, floor):
         rows, read = iter(rows), []
 
         def counted():
@@ -361,7 +362,7 @@ def recorded_descent(seen: dict):
                 read.append(item)
                 yield item
 
-        out = descent(counted(), columns, lead, direction, floor, stop)
+        out = descent(counted(), columns, lead, direction, floor)
         seen.update(stopped=isinstance(out, int), read=len(read), total=len(read) + sum(1 for _ in rows))
         return out
 
@@ -396,9 +397,9 @@ def _drop_last(vectors):
 def _off_ray_above_the_top(vectors):
     # X^(a+1) Y^(b+1) is on the diagonal of the top lead X^a Y^b, above it
     # in the order, and off the ray, which for an x-dominant q has di > dj
-    top = vectors[-1]
+    top, _ = vectors[-1]
     a, b = max(top, key=_order_key)
-    top[a + 1, b + 1] = Fraction(1, 7)
+    top[a + 1, b + 1] = 1
     return vectors
 
 
@@ -447,9 +448,9 @@ class TestPowerCertificate:
         monkeypatch.setattr(weylalg.centralizer, "commutator", spy)
         assert check_dixmier_pair(pair, bound).holds
         assert calls == []
-        # the spy sees the packed check of the public solver
+        # the public solver certifies a basis at the floor by the powers too
         centralizer_basis(pair.p, bound)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_y_sector_certified_pair_stops_before_any_row(self):
         """P = aY + c, so q = transpose(P) = aX + c, whose region is its ray
@@ -517,6 +518,57 @@ class TestStoppedDescent:
         name, replacement, message = STOP_FAULTS[fault]
         monkeypatch.setattr(weylalg.centralizer, name, replacement())
         assert main(_check_dixmier_argv(pair, bound)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: ") and message in err
+
+
+def _scaled_top(vectors):
+    # the top reduced power over twice its denominator: no longer monic
+    top, den = vectors[-1]
+    vectors[-1] = (top, 2 * den)
+    return vectors
+
+
+def _tail_scaled_top(vectors):
+    # the top reduced power with every term below its lead doubled: still
+    # monic, but outside the span of the powers
+    top, den = vectors[-1]
+    lead = max(top, key=_order_key)
+    vectors[-1] = ({m: v if m == lead else 2 * v for m, v in top.items()}, den)
+    return vectors
+
+
+# fault of the reduction of the powers -> (change, message that must catch it)
+REDUCTION_FAULTS = {
+    "dropped vector": (_drop_last, "reduce to"),
+    "off-ray term above the top lead": (_off_ray_above_the_top, "not monic with its own leading term"),
+    "power scaled wrongly": (_scaled_top, "not monic with its own leading term"),
+    "power's tail scaled wrongly": (_tail_scaled_top, "a power of p is missing"),
+}
+# elements whose `centralizer_basis` stops at the floor: X + (Y + X^2)^3 at 36
+# with 7 powers, and the y-sector X^2 Y^4 + X Y^3 + 2 Y^2 at 30 with 6
+STOPPED_ELEMENTS = [("X + (Y + X^2)^3", 36), ("X^2*Y^4 + X*Y^3 + 2*Y^2", 30)]
+
+
+class TestStoppedCentralizer:
+    """On the `centralizer` path a fault in the reduction of the powers raises, and exits 3."""
+
+    @pytest.mark.parametrize("fault", list(REDUCTION_FAULTS))
+    @pytest.mark.parametrize("text, bound", STOPPED_ELEMENTS, ids=["x-sector", "y-sector"])
+    def test_fault_raises(self, text, bound, fault, monkeypatch):
+        p = parse_element(text)
+        assert is_x_dominant(p) == (text == STOPPED_ELEMENTS[0][0])
+        change, message = REDUCTION_FAULTS[fault]
+        monkeypatch.setattr(weylalg.centralizer, "_rebased", reduced_then(change))
+        with pytest.raises(InternalInconsistencyError, match=message):
+            centralizer_basis(p, bound)
+
+    @pytest.mark.parametrize("fault", list(REDUCTION_FAULTS))
+    @pytest.mark.parametrize("text, bound", STOPPED_ELEMENTS, ids=["x-sector", "y-sector"])
+    def test_fault_exits_3(self, text, bound, fault, capsys, monkeypatch):
+        change, message = REDUCTION_FAULTS[fault]
+        monkeypatch.setattr(weylalg.centralizer, "_rebased", reduced_then(change))
+        assert main(["centralizer", text, "--max-total-degree", str(bound)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal inconsistency: ") and message in err
 

@@ -38,7 +38,7 @@ from weylalg import (
 from weylalg.cli import _parse_script, format_element, main
 from weylalg.derivation import dixmier_pair_from_script
 
-from conftest import swap_exponents, weyl_elements
+from conftest import monomials_upto, swap_exponents, weyl_elements
 
 X2Y = from_terms([(2, 1, 1)])
 TWO_DIAG = from_terms([(4, 2, 1), (3, 1, 2)])
@@ -302,7 +302,7 @@ def full_triangle_basis(p, bound):
     with mock.patch.object(
         weylalg.centralizer,
         "_newton_columns",
-        lambda q, b: weylalg.centralizer._monomials_upto(b),
+        lambda q, b: monomials_upto(b),
     ):
         return centralizer_basis(p, bound)
 

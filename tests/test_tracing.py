@@ -9,11 +9,13 @@ import sys
 from pathlib import Path
 
 import weylalg
-from weylalg import X, Y, from_terms
+from weylalg.cli import parse_element
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracing  # noqa: E402
+
+DIXMIER_L = parse_element("(Y^2 + X^3 + 1)^2 + 2*X")
 
 
 def _owner(module: str, attr: str):
@@ -51,13 +53,15 @@ def test_install_then_uninstall_restores_every_function():
         for module, attr, _, _ in tracing.SPANS:
             owner, name = _owner(module, attr)
             assert hasattr(vars(owner)[name], "__wrapped__"), f"{module}.{attr}"
-        # through the package: the name bound in this module is not patched
-        weylalg.centralizer_basis(from_terms([(1, 2, 1)]) + X, 6)
-        weylalg.centralizer_basis(from_terms([(2, 1, 1)]) + Y, 6)
+        # through the package: the name bound in this module is not patched.
+        # Dixmier's L at 9 has 3 basis vectors, above the floor of its 2
+        # powers, in either sector
+        weylalg.centralizer_basis(DIXMIER_L, 9)
+        weylalg.centralizer_basis(weylalg.transpose(DIXMIER_L), 9)
     finally:
         tracer.uninstall()
     assert tracer.stats["centralizer.basis"][0] == 2
-    # one packed re-verification per basis
+    # one packed re-verification per basis above the floor
     assert tracer.stats["centralizer.verify"][0] == 2
     after = _package_namespaces()
     assert after.keys() == before.keys()
