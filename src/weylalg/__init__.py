@@ -29,7 +29,6 @@ from .errors import (
     BoundError,
     BoundEscapeError,
     ExprSyntaxError,
-    ImpossiblePairError,
     InternalInconsistencyError,
     MalformedInputError,
     MembershipError,
@@ -88,7 +87,6 @@ from .derivation import (
     apply_script,
     check_dixmier_pair,
     derivation_report,
-    dixmier_pair,
     dixmier_pair_from_script,
     is_dixmier_pair,
     no_partner_check,

@@ -246,8 +246,10 @@ class CentralizerBasis:
     Basis vectors are indexed by their level l on the primitive ray:
     the leading term of by_level[l] is the monomial direction * l, monic.
     `levels` lists them ascending.  Everything else is derived from these
-    two, and all but `sector` is cached: `sector` is "x" when direction
-    (i, j) has i > j, `level_gcd` is the gcd of the nonzero levels, `period`
+    two and `element`, and all but `sector` is cached: `direction` is the
+    `primitive_direction` of the element, or in the y sector that of its
+    transpose with i and j swapped, `sector` is "x" when direction (i, j)
+    has i > j, `level_gcd` is the gcd of the nonzero levels, `period`
     the least nonzero normalized degree, and `picks` holds, per residue
     class of the normalized degree modulo the period, the basis element of
     least degree in that class (None when the class is not reached within
@@ -259,12 +261,18 @@ class CentralizerBasis:
 
     element: WeylElement
     bound: int
-    direction: Weight
     levels: tuple[int, ...]
     by_level: Mapping[int, WeylElement] = field(hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "by_level", MappingProxyType(dict(self.by_level)))
+
+    @cached_property
+    def direction(self) -> Weight:
+        if is_x_dominant(self.element):
+            return primitive_direction(self.element)[0]
+        (i, j), _ = primitive_direction(transpose(self.element))
+        return (j, i)
 
     @property
     def sector(self) -> Sector:
@@ -752,11 +760,9 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     if not x_sector:
         forms = {l: _transposed(form) for l, form in forms.items()}
         powers = powers and [_transposed(form) for form in powers]
-        direction = (dj, di)
     basis = CentralizerBasis(
         element=p,
         bound=bound,
-        direction=direction,
         levels=tuple(sorted(forms)),
         by_level={l: _over(*form) for l, form in forms.items()},
     )

@@ -75,10 +75,10 @@ from .centralizer import (
 )
 from .core import ONE, WeylElement, X, Y, commutator, mul, total_degree, transpose
 from .derivation import (
+    DixmierPair,
     ElementaryAutomorphism,
     check_dixmier_pair,
     derivation_report,
-    dixmier_pair,
     dixmier_pair_from_script,
 )
 from .errors import (
@@ -585,12 +585,12 @@ def _cmd_check_dixmier(args) -> int:
     bound = _bound(args.max_total_degree)
     p = parse_element(args.p)
     q = parse_element(args.q)
+    pair = DixmierPair(p, q)
     try:
-        pair = dixmier_pair(p, q)
+        report = check_dixmier_pair(pair, bound)
     except NotDixmierPairError:
         print("dixmier pair: false")
         return 1
-    report = check_dixmier_pair(pair, bound)
     print("dixmier pair: true")
     print(f"centralizer dimension: {report.centralizer_dim}")
     print(f"powers dimension: {report.powers_dim}")

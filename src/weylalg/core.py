@@ -162,15 +162,9 @@ class WeylElement:
     def support(self) -> frozenset[Monomial]:
         return frozenset(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_scalar(self) -> bool:
         """True for 0 and for nonzero multiples of 1."""
         return not self._terms or set(self._terms) == {(0, 0)}
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0, 0), _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -44,10 +44,6 @@ class NotDixmierPairError(WeylError, ValueError):
     """The commutator of the given elements is not 1."""
 
 
-class ImpossiblePairError(WeylError, ValueError):
-    """No element can have commutator 1 with the given one."""
-
-
 class InternalInconsistencyError(WeylError, RuntimeError):
     """A mathematically guaranteed identity failed; this always indicates a bug."""
 

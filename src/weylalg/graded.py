@@ -28,7 +28,7 @@ from math import lcm
 from typing import Iterable
 
 from .core import Coefficient, WeylElement, _integer_terms, _over, mul
-from .errors import MalformedInputError, NotHomogeneousError, UndefinedOnZeroError
+from .errors import MalformedInputError, NotHomogeneousError
 from .leading import diag_degree, _require_nonzero
 
 
@@ -138,12 +138,6 @@ class XYPolynomial:
 
     def derivative(self) -> "XYPolynomial":
         return XYPolynomial([m * c for m, c in enumerate(self._coeffs)][1:])
-
-    def monic(self) -> "XYPolynomial":
-        if not self._coeffs:
-            raise UndefinedOnZeroError("the zero polynomial cannot be made monic")
-        lead = self._coeffs[-1]
-        return XYPolynomial([c / lead for c in self._coeffs])
 
     def __call__(self, value: Coefficient) -> Fraction:
         acc = Fraction(0)

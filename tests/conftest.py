@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from weylalg import WeylElement, from_terms, newton_edges, total_degree
+from weylalg import (
+    ScriptLimits,
+    WeylElement,
+    dixmier_pair_from_script,
+    from_terms,
+    is_x_dominant,
+    newton_edges,
+    random_script,
+    total_degree,
+)
 from weylalg.centralizer import _order_key
 
 
@@ -77,3 +86,14 @@ def triangle_columns(p: WeylElement, bound: int):
         for a, b in monomials_upto(bound)
         if all(deg * (rho * a + sigma * b) <= bound * h for (rho, sigma), h in edges)
     ]
+
+
+@st.composite
+def sector_script_pairs(draw):
+    """The pair of a random automorphism script, with P in the drawn sector."""
+    rng, sector = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from("xy"))
+    limits = ScriptLimits(max_len=3, max_poly_degree=3, coeff_bound=3, max_total_degree=9)
+    pair = dixmier_pair_from_script(random_script(rng, limits))
+    while is_x_dominant(pair.p) != (sector == "x"):
+        pair = dixmier_pair_from_script(random_script(rng, limits))
+    return pair

@@ -66,7 +66,7 @@ from weylalg.core import _factors, _integer_terms
 from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
 
-from conftest import _coeffs, monomials_upto, triangle_columns, weyl_elements
+from conftest import _coeffs, monomials_upto, sector_script_pairs, triangle_columns, weyl_elements
 
 X2Y = from_terms([(2, 1, 1)])
 X3Y = from_terms([(3, 1, 1)])
@@ -565,7 +565,8 @@ def mirror_reference(p, bound: int) -> CentralizerBasis:
 
     The kernel of the exact commutator over every monomial up to the bound,
     brought to reduced echelon form in the mirror order (j - i first, then
-    the Y exponent); the direction is read off the leading terms.
+    the Y exponent); the direction is read off the leading terms, and the
+    basis must derive the same one from p.
     """
     monomials = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
     kernel = commutator_kernel(p, [from_terms([(a, b, 1)]) for a, b in monomials])
@@ -591,13 +592,9 @@ def mirror_reference(p, bound: int) -> CentralizerBasis:
         level = lead[1] // direction[1]
         assert lead == (level * direction[0], level * direction[1])
         by_level[level] = elem
-    return CentralizerBasis(
-        element=p,
-        bound=bound,
-        direction=direction,
-        levels=tuple(sorted(by_level)),
-        by_level=by_level,
-    )
+    basis = CentralizerBasis(element=p, bound=bound, levels=tuple(sorted(by_level)), by_level=by_level)
+    assert basis.direction == direction
+    return basis
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17)
@@ -901,17 +898,6 @@ def floor_and_unread_rows(p, bound):
     with mock.patch.object(weylalg.centralizer, "_ray_descent", reading):
         dimension = centralizer_basis(p, bound).dimension
     return seen["floor"], seen["unread"], dimension
-
-
-@st.composite
-def sector_script_pairs(draw):
-    """The pair of a random automorphism script, with P in the drawn sector."""
-    rng, sector = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from("xy"))
-    limits = ScriptLimits(max_len=3, max_poly_degree=3, coeff_bound=3, max_total_degree=9)
-    pair = dixmier_pair_from_script(random_script(rng, limits))
-    while is_x_dominant(pair.p) != (sector == "x"):
-        pair = dixmier_pair_from_script(random_script(rng, limits))
-    return pair
 
 
 # an x-sector Dixmier pair whose descent stops early at bound 18, and the
@@ -1275,7 +1261,7 @@ class TestDecomposeFaults:
     def test_membership_is_checked_before_truncation(self):
         # levels 0, 3, 4: period 3, and no level of degree 2 mod 3
         by_level = {0: ONE, 3: power(X, 3), 4: power(X, 4)}
-        basis = CentralizerBasis(element=X, bound=4, direction=(1, 0), levels=(0, 3, 4), by_level=by_level)
+        basis = CentralizerBasis(element=X, bound=4, levels=(0, 3, 4), by_level=by_level)
         assert basis.truncated
         with pytest.raises(MembershipError):
             decompose(Y, basis)
@@ -1298,7 +1284,6 @@ class TestMonomialAlgebraEmbedding:
         basis = CentralizerBasis(
             element=XY,
             bound=8,
-            direction=(1, 1),
             levels=levels,
             by_level=by_level,
         )

@@ -265,7 +265,9 @@ class TestSubcommands:
         element = ZERO
         for c, e in zip(coeffs, basis.elements()):
             element = element + c * e
-        argv = ["decompose", format_element(element), "--basis-of", format_element(DIXMIER_L), "--max-total-degree", "24"]
+        # the element follows `--`, so that a single negative term such as
+        # -1/2 is not read as an option
+        argv = ["decompose", "--basis-of", format_element(DIXMIER_L), "--max-total-degree", "24", "--", format_element(element)]
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv) == 0
         expected = ray_degree(element, basis) if element else 0

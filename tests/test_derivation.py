@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylalg.centralizer
+import weylalg.derivation
 from weylalg import (
     BoundEscapeError,
     CentralizerBasis,
     DixmierPair,
     ElementaryAutomorphism,
-    ImpossiblePairError,
     InternalInconsistencyError,
     MalformedInputError,
     NotDixmierPairError,
@@ -31,7 +31,6 @@ from weylalg import (
     check_dixmier_pair,
     commutator,
     derivation_report,
-    dixmier_pair,
     dixmier_pair_from_script,
     evaluate_at_element,
     expand_in_basis,
@@ -51,7 +50,7 @@ from weylalg.cli import _parse_script, basis_to_json, format_element, main, pars
 from weylalg.linalg import sparse_solvable
 from weylalg.oracle import act, max_y_exponent, x_power
 
-from conftest import monomials_upto, weyl_elements
+from conftest import monomials_upto, sector_script_pairs, weyl_elements
 
 XY = mul(X, Y)
 P_SHIFTED = X + power(Y, 2)
@@ -133,11 +132,10 @@ class TestIsDixmierPair:
     def test_failing(self):
         assert not is_dixmier_pair(X, X)
 
-    def test_factory_validates(self):
-        pair = dixmier_pair(P_SHIFTED, Y)
-        assert pair.witness == ONE
+    def test_check_validates(self):
+        assert check_dixmier_pair(DixmierPair(P_SHIFTED, Y), 4).holds
         with pytest.raises(NotDixmierPairError):
-            dixmier_pair(X, X)
+            check_dixmier_pair(DixmierPair(X, X), 4)
 
 
 class TestAd:
@@ -162,7 +160,7 @@ def test_leibniz_rule(q, r, s):
 
 class TestDerivationReport:
     def test_plain_generators(self):
-        pair = dixmier_pair(X, Y)
+        pair = DixmierPair(X, Y)
         basis = centralizer_basis(X, 6)
         report = derivation_report(pair, basis)
         assert report.nonzero_picks == (0,)
@@ -172,18 +170,17 @@ class TestDerivationReport:
         assert not report.degenerate
 
     def test_shifted(self):
-        pair = dixmier_pair(P_SHIFTED, Y)
+        pair = DixmierPair(P_SHIFTED, Y)
         basis = centralizer_basis(P_SHIFTED, 6)
         report = derivation_report(pair, basis)
         assert report.constant_drop == -1
         assert report.kernel_dim == 1
 
     def test_degenerate_truncation(self):
-        pair = dixmier_pair(X, Y)
+        pair = DixmierPair(X, Y)
         basis = CentralizerBasis(
             element=X,
             bound=0,
-            direction=(1, 0),
             levels=(0,),
             by_level={0: ONE},
         )
@@ -194,11 +191,10 @@ class TestDerivationReport:
         assert report.kernel_dim == 1
 
     def test_bound_escape(self):
-        pair = dixmier_pair(X, Y)
+        pair = DixmierPair(X, Y)
         basis = CentralizerBasis(
             element=X,
             bound=1,
-            direction=(1, 0),
             levels=(0, 3),
             by_level={0: ONE, 3: power(X, 3)},
         )
@@ -207,11 +203,10 @@ class TestDerivationReport:
             derivation_report(pair, basis)
 
     def test_image_outside_span_is_inconsistent(self):
-        pair = dixmier_pair(X, Y)
+        pair = DixmierPair(X, Y)
         basis = CentralizerBasis(
             element=X,
             bound=6,
-            direction=(1, 0),
             levels=(0, 3),
             by_level={0: ONE, 3: power(X, 3)},
         )
@@ -219,7 +214,7 @@ class TestDerivationReport:
             derivation_report(pair, basis)
 
     def test_wrong_basis_rejected(self):
-        pair = dixmier_pair(X, Y)
+        pair = DixmierPair(X, Y)
         basis = centralizer_basis(P_SHIFTED, 6)
         with pytest.raises(MalformedInputError):
             derivation_report(pair, basis)
@@ -227,12 +222,12 @@ class TestDerivationReport:
 
 class TestCheckDixmierPair:
     def test_generators(self):
-        report = check_dixmier_pair(dixmier_pair(X, Y), 5)
+        report = check_dixmier_pair(DixmierPair(X, Y), 5)
         assert report.holds
         assert report.centralizer_dim == report.powers_dim == 6
 
     def test_shifted(self):
-        report = check_dixmier_pair(dixmier_pair(P_SHIFTED, Y), 6)
+        report = check_dixmier_pair(DixmierPair(P_SHIFTED, Y), 6)
         assert report.holds
         assert report.centralizer_dim == 4
 
@@ -246,14 +241,45 @@ class TestCheckDixmierPair:
         assert report.holds
 
     def test_impossible_pair(self):
-        fake = DixmierPair(p=XY, q=X, witness=commutator(X, XY))
-        with pytest.raises(ImpossiblePairError):
-            check_dixmier_pair(fake, 6)
-
-    def test_forged_witness_rejected(self):
-        fake = DixmierPair(p=X, q=X, witness=ONE)
+        # no q has [q, P] = 1 for P in k[XY]: the one commutator rejects it
         with pytest.raises(NotDixmierPairError):
-            check_dixmier_pair(fake, 4)
+            check_dixmier_pair(DixmierPair(XY, X), 6)
+
+    def test_forged_pair_rejected(self):
+        # [-Y, P] = -1: a commutator that is a nonzero scalar is not enough
+        with pytest.raises(NotDixmierPairError):
+            check_dixmier_pair(DixmierPair(P_SHIFTED, -Y), 4)
+
+    def test_hypothesis_is_one_commutator(self):
+        p, q = P_SHIFTED + 1, Y
+        with mock.patch.object(weylalg.derivation, "commutator", wraps=commutator) as spy:
+            pair = DixmierPair(p, q)
+            assert spy.call_count == 0
+            check_dixmier_pair(pair, 6)
+        assert spy.call_args_list == [mock.call(q, p)]
+
+    def test_cli_forms_the_hypothesis_once(self, capsys):
+        # P has a constant term, so no basis vector is P and the derivation
+        # report forms no [q, P] of its own
+        p, q = P_SHIFTED + 1, Y
+        with mock.patch.object(weylalg.derivation, "commutator", wraps=commutator) as spy:
+            assert main(["check-dixmier", format_element(p), format_element(q), "--max-total-degree", "6"]) == 0
+        assert spy.call_args_list.count(mock.call(q, p)) == 1
+        assert "dixmier pair: true\n" in capsys.readouterr().out
+
+
+# in the y sector P is aY + c, and almost every script that gives one has a
+# fourier step; x-sector pairs come from scripts with and without one
+@settings(max_examples=40, deadline=None)
+@given(sector_script_pairs())
+def test_only_the_true_pair_passes_the_check(pair):
+    p, q = pair.p, pair.q
+    assert check_dixmier_pair(DixmierPair(p, q), total_degree(p)).holds
+    # the hypothesis is checked before the solve, so even a bound the solve
+    # would refuse gets the pair error
+    for fake in (DixmierPair(q, p), DixmierPair(p, 2 * q)):
+        with pytest.raises(NotDixmierPairError):
+            check_dixmier_pair(fake, 0)
 
 
 # (pair, bound): an x-sector pair with deg P = 6, and a y-sector pair with
@@ -669,7 +695,7 @@ def test_apply_is_multiplicative(auto, a, b):
 
 class TestPairFromScript:
     def test_empty_script(self):
-        assert dixmier_pair_from_script([]) == DixmierPair(X, Y, ONE)
+        assert dixmier_pair_from_script([]) == DixmierPair(X, Y)
 
     def test_single_step(self):
         pair = dixmier_pair_from_script([ElementaryAutomorphism("addY", power(Y, 2))])
@@ -712,7 +738,7 @@ class TestPairFromScript:
 class TestDerivationLaws:
     def test_stability(self):
         # images of basis vectors under [q, -] stay in the computed span
-        pair = dixmier_pair(P_SHIFTED, Y)
+        pair = DixmierPair(P_SHIFTED, Y)
         basis = centralizer_basis(P_SHIFTED, 8)
         for elem in basis.elements():
             image = ad(pair.q, elem)
@@ -720,7 +746,7 @@ class TestDerivationLaws:
                 assert expand_in_basis(basis, image) is not None
 
     def test_chain_rule(self):
-        pair = dixmier_pair(P_SHIFTED, Y)
+        pair = DixmierPair(P_SHIFTED, Y)
         basis = centralizer_basis(P_SHIFTED, 8)
         s = basis.picks[0]
         rng = random.Random(3)
@@ -732,7 +758,7 @@ class TestDerivationLaws:
             assert left == right
 
     def test_degree_formula(self):
-        pair = dixmier_pair(P_SHIFTED, Y)
+        pair = DixmierPair(P_SHIFTED, Y)
         basis = centralizer_basis(P_SHIFTED, 8)
         report = derivation_report(pair, basis)
         drop = report.constant_drop
