@@ -721,6 +721,8 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     more vectors gets the packed check: one exact commutator of p with the
     packed vectors (`_packed`).  Every vector must also be monic with its
     own leading term on the ray, and the constants the vector at level 0.
+    A basis certified by the powers gets a private mark, which gives
+    `derivation_report` its closed form (a copy by the constructor has none).
     """
     if in_xy_subalgebra(p):
         raise WrongSectorError(
@@ -774,6 +776,8 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
             raise InternalInconsistencyError("kernel vector does not commute exactly")
     elif any(_expansion(basis, *form) is None for form in powers):
         raise InternalInconsistencyError("a power of p is missing from its centralizer")
+    else:
+        basis.__dict__["_by_powers"] = True  # the mark `derivation_report` reads
     return basis
 
 

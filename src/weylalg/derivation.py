@@ -6,12 +6,13 @@ derivation.  This module measures that derivation on a computed basis
 (degree drops, kernel) and checks that the centralizer of P is exactly the
 polynomial algebra generated by P up to the chosen degree bound.
 
-The hypothesis [Q, P] = 1 is one exact commutator.  `check_dixmier_pair`
-forms it before any centralizer work and `dixmier_pair_from_script` on the
-images it builds; a `DixmierPair` is not checked when it is built.  No pair
-has P in k[XY]: [-, P] keeps each diagonal, so the diagonal-0 part of
-[Q, P] is [Q0, P] = 0, Q0 lying in the commutative k[XY] (the proof is in
-`no_partner_check`), and such a P fails the commutator like any non-pair.
+The hypothesis [Q, P] = 1 is one exact commutator, cached on the pair
+object: `dixmier_pair_from_script`, `check_dixmier_pair` and
+`derivation_report` all read that one check, and a `DixmierPair` is not
+checked when it is built.  No pair has P in k[XY]: [-, P] keeps each
+diagonal, so the diagonal-0 part of [Q, P] is [Q0, P] = 0, Q0 lying in the
+commutative k[XY] (the proof is in `no_partner_check`), and such a P fails
+the commutator like any non-pair.
 
 Pairs with [Q, P] = 1 are produced as images of (X, Y) under composites of
 elementary automorphisms, which preserve the defining relation.  Each one
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Literal, Sequence
 
 from .core import Monomial, ONE, WeylElement, X, Y, commutator, from_terms, total_degree
@@ -45,10 +46,14 @@ from .linalg import dense_kernel
 
 @dataclass(frozen=True)
 class DixmierPair:
-    """Elements meant to satisfy [q, p] = 1, which `check_dixmier_pair` checks."""
+    """Elements meant to satisfy [q, p] = 1, checked once per object (`_holds`)."""
 
     p: WeylElement
     q: WeylElement
+
+    @cached_property
+    def _holds(self) -> bool:
+        return is_dixmier_pair(self.p, self.q)
 
 
 def is_dixmier_pair(p: WeylElement, q: WeylElement) -> bool:
@@ -69,7 +74,8 @@ class DerivationReport:
     difference image - pick degree is the same for every listed residue and
     is reported once as `constant_drop`.  `kernel_dim` is the dimension of
     the kernel of the derivation on the whole computed span.  `degenerate`
-    marks a truncated basis that cannot support the measurements.
+    marks a truncated basis that cannot support the measurements.  A basis
+    certified by the powers has a closed form (see `derivation_report`).
     """
 
     degrees: dict[int, tuple[int, int]]
@@ -100,9 +106,23 @@ def _image_coordinates(
 
 
 def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationReport:
-    """Measure [pair.q, -] on the basis computed for pair.p."""
+    """Measure [pair.q, -] on the basis computed for pair.p.
+
+    On a basis that `centralizer_basis` certified by the powers of p, the
+    report has a closed form once the pair's cached [q, p] = 1 holds
+    (`NotDixmierPairError` otherwise).  The basis spans k[p] up to the
+    bound with n + 1 >= 2 levels (bound >= deg p); its only pick, at level
+    l_p, is p / lc + c, so [q, pick] = 1 / lc, of ray degree 0; and [q, -]
+    sends p^k to k p^(k-1), so in characteristic 0 its kernel is the
+    constants.  Other bases (built by the constructor, or above the floor,
+    as a counterexample's would be) get one commutator per vector.
+    """
     if basis.element != pair.p:
         raise MalformedInputError("basis was not computed for the first element of the pair")
+    if basis.__dict__.get("_by_powers"):
+        if not pair._holds:
+            raise NotDixmierPairError("[q, p] is not 1")
+        return DerivationReport(degrees={0: (1, 0)}, constant_drop=-1, kernel_dim=1, degenerate=False)
 
     @cache
     def image(level: int) -> tuple[WeylElement, dict[int, Fraction]]:
@@ -167,7 +187,7 @@ class PairCheckReport:
 def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
     """Does the centralizer of pair.p equal the polynomials in pair.p, up to bound?
 
-    The hypothesis [q, p] = 1 is checked first, by one exact commutator,
+    The hypothesis [q, p] = 1 is checked first, by the cached commutator,
     and `NotDixmierPairError` raised when it fails.  A p in k[XY] always
     fails it, so every p that reaches the solve has a dominant generator.
 
@@ -180,7 +200,7 @@ def check_dixmier_pair(pair: DixmierPair, bound: int) -> PairCheckReport:
     the paper's theorem it is true on every Dixmier pair.  With more, the
     answer is false, and the basis is verified by exact multiplication.
     """
-    if not is_dixmier_pair(pair.p, pair.q):
+    if not pair._holds:
         raise NotDixmierPairError("[q, p] is not 1")
     basis = centralizer_basis(pair.p, bound)
     return PairCheckReport(basis=basis, centralizer_dim=basis.dimension)
@@ -323,11 +343,10 @@ def apply_script(script: Sequence[ElementaryAutomorphism], a: WeylElement) -> We
 
 def dixmier_pair_from_script(script: Sequence[ElementaryAutomorphism]) -> DixmierPair:
     """The image of (X, Y) under the composite automorphism."""
-    p = apply_script(script, X)
-    q = apply_script(script, Y)
-    if not is_dixmier_pair(p, q):
+    pair = DixmierPair(apply_script(script, X), apply_script(script, Y))
+    if not pair._holds:
         raise InternalInconsistencyError("automorphism image of (X, Y) broke the relation")
-    return DixmierPair(p, q)
+    return pair
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ import weylalg.derivation
 from weylalg import (
     BoundEscapeError,
     CentralizerBasis,
+    DerivationReport,
     DixmierPair,
     ElementaryAutomorphism,
     InternalInconsistencyError,
@@ -259,12 +261,12 @@ class TestCheckDixmierPair:
         assert spy.call_args_list == [mock.call(q, p)]
 
     def test_cli_forms_the_hypothesis_once(self, capsys):
-        # P has a constant term, so no basis vector is P and the derivation
-        # report forms no [q, P] of its own
+        # the basis is certified by the powers, so the derivation report
+        # reads the pair's cached check and forms no commutator of its own
         p, q = P_SHIFTED + 1, Y
         with mock.patch.object(weylalg.derivation, "commutator", wraps=commutator) as spy:
             assert main(["check-dixmier", format_element(p), format_element(q), "--max-total-degree", "6"]) == 0
-        assert spy.call_args_list.count(mock.call(q, p)) == 1
+        assert spy.call_args_list == [mock.call(q, p)]
         assert "dixmier pair: true\n" in capsys.readouterr().out
 
 
@@ -508,6 +510,62 @@ class TestPowerCertificate:
         assert basis.levels == reference.levels
         assert dict(basis.by_level) == dict(reference.by_level)
         assert json.dumps(basis_to_json(basis)) == json.dumps(basis_to_json(reference))
+
+
+def unmarked(basis: CentralizerBasis) -> CentralizerBasis:
+    """The same basis built by the constructor, without the powers' mark."""
+    return CentralizerBasis(
+        element=basis.element, bound=basis.bound, levels=basis.levels, by_level=basis.by_level
+    )
+
+
+class TestClosedFormReport:
+    """`derivation_report` on a basis certified by the powers forms no commutator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=sector_script_pairs(), data=st.data())
+    def test_closed_form_is_the_general_report(self, pair, data):
+        deg = total_degree(pair.p)
+        basis = centralizer_basis(pair.p, data.draw(st.integers(deg, 3 * deg), label="bound"))
+        copy = unmarked(basis)
+        with mock.patch.object(weylalg.derivation, "commutator", wraps=commutator) as spy:
+            closed = derivation_report(pair, basis)
+            assert spy.call_count == 0
+            # the general path forms one image per basis vector
+            assert derivation_report(pair, copy) == closed
+            assert spy.call_count == basis.dimension
+        assert closed == DerivationReport(degrees={0: (1, 0)}, constant_drop=-1, kernel_dim=1, degenerate=False)
+
+    @pytest.mark.parametrize("pair, bound", CERTIFIED_PAIRS, ids=CERTIFIED_IDS)
+    def test_forged_pair_gets_no_closed_form(self, pair, bound):
+        basis = check_dixmier_pair(pair, bound).basis
+        forged = dataclasses.replace(pair, q=2 * pair.q)
+        with pytest.raises(NotDixmierPairError):
+            derivation_report(forged, basis)
+        # without the mark the general path measures [2q, -] as before
+        assert derivation_report(forged, unmarked(basis)).constant_drop == -1
+
+    @pytest.mark.parametrize(
+        "script, bound",
+        [
+            ("addY:Y^3; addX:X^3; addY:Y^3", 27),
+            ("fourier; addY:Y^3-Y; addX:X^2+1", 60),
+            ("addY:Y^2+Y; addX:X^3-2*X; addY:Y^3+1", 54),
+        ],
+        ids=["y3x3y3", "fourier2", "pair18"],
+    )
+    def test_one_commutator_from_script_to_report(self, script, bound):
+        steps = _parse_script(script)
+        counts = []
+        with mock.patch.object(weylalg.derivation, "commutator", wraps=commutator) as spy:
+            pair = dixmier_pair_from_script(steps)
+            counts.append(spy.call_count)
+            basis = check_dixmier_pair(pair, bound).basis
+            counts.append(spy.call_count - sum(counts))
+            derivation_report(pair, basis)
+            counts.append(spy.call_count - sum(counts))
+        assert counts == [1, 0, 0]
+        assert spy.call_args_list == [mock.call(pair.q, pair.p)]
 
 
 class TestStoppedDescent:
