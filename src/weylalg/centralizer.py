@@ -719,8 +719,11 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     lie in its span, of dimension at most n + 1, so the two spans are one
     and every vector is a polynomial in q; fewer vectors raise.  A basis of
     more vectors gets the packed check: one exact commutator of p with the
-    packed vectors (`_packed`).  Every vector must also be monic with its
-    own leading term on the ray, and the constants the vector at level 0.
+    packed vectors (`_packed`).  A correct descent that reads every row
+    returns more than n + 1 vectors, so at most n + 1 come from one that
+    lost a vector, and the powers catch it.  Every vector must also be
+    monic with its own leading term on the ray, and the constants the
+    vector at level 0.
     A basis certified by the powers gets a private mark, which gives
     `derivation_report` its closed form (a copy by the constructor has none).
     """
@@ -825,14 +828,19 @@ def ray_degree(q: WeylElement, basis: CentralizerBasis) -> int:
     return basis.ray_degrees[max(coords)]
 
 
+def _s0(basis: CentralizerBasis) -> WeylElement:
+    # S_0 of `decompose` and `recompose`
+    return basis.picks[0] if basis.picks else ONE
+
+
 def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     """Write q as T_0(S_0) + T_1(S_0) S_1 + ... over the canonical picks.
 
-    S_0 is picks[0] and S_r is picks[r]; the returned list holds the
-    polynomials T_0 .. T_{period-1}.  Each step matches the leading ray
-    coefficient with the unique monic product S_0^m S_r of the same degree,
-    where S_r is the constant 1 for residue 0; this lowers the degree
-    strictly.
+    S_0 is picks[0], or 1 on a basis of the constants, which has no picks,
+    and S_r is picks[r]; the returned list holds the polynomials
+    T_0 .. T_{period-1}.  Each step matches the leading ray coefficient
+    with the unique monic product S_0^m S_r of the same degree, where S_r
+    is the constant 1 for residue 0; this lowers the degree strictly.
 
     Only q is expanded, to test membership.  The basis is reduced, so the
     leading coordinate of a residual in the span is its coefficient at the
@@ -845,7 +853,7 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     period = basis.period
     if basis.picks and any(s is None for s in basis.picks):
         raise BoundError("basis is truncated: some residue classes have no pick")
-    s0 = basis.picks[0] if basis.picks else ONE  # a basis of the constants has no S_0
+    s0 = _s0(basis)
     coeffs: list[dict[int, Fraction]] = [dict() for _ in range(period)]
     levels = list(basis.levels)  # the levels below the last one eliminated
     residual = q
@@ -874,7 +882,7 @@ def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
 
 def recompose(parts: list[XYPolynomial], basis: CentralizerBasis) -> WeylElement:
     """Inverse of decompose: T_0(S_0) + sum of T_r(S_0) * S_r."""
-    s0 = basis.picks[0]
+    s0 = _s0(basis)
     out = evaluate_at_element(parts[0], s0)
     for r in range(1, len(parts)):
         out = out + mul(evaluate_at_element(parts[r], s0), basis.picks[r])

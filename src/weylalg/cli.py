@@ -36,18 +36,19 @@ Size limits; past one, SizeLimitError (exit 2):
 - nesting of parentheses and unary minus: MAX_NESTING;
 - `--max-total-degree`: MAX_BOUND.
 
-At the caps, `pow "X+Y+1" 100` takes 0.4 to 0.5 s, the `gen-pair` of
-'addY:Y^2+Y; addX:X^2-X; addY:Y^5+1; addX:X^5+X' (degree 100, 818
-terms) 0.17 to 0.34 s (median 0.28 s) and 18 MB, and the centralizer of
-Dixmier's L at bound 100 takes 1.2 to 1.6 s (median 1.4 s) and 59 MB,
-that of X + (Y + X^2)^3 0.6 to 1.0 s (median 0.8 s) and 37 MB (process
-time and peak RSS, as ru_maxrss, of the whole CLI call with `--json`, ten
-runs, one core of a shared 2-vCPU virtual machine, CPython 3.11); the
-solver's cost also grows with the number of terms of P and with the
-share of the triangle that its Newton polygon covers.  `oracle-check` of
-two degree-100 elements ("(X+Y)^100" with itself) takes 0.8 to 1.1 s and
-19 MB, and `oracle-check --mul "(X+Y)^50" "(X-Y)^50"` 2.5 to 2.8 s
-(process time of the call, three runs each).  Powers are formed by
+At the caps, `pow "X+Y+1" 100` takes 0.54 to 0.72 s (median 0.59 s),
+the `gen-pair` of 'addY:Y^2+Y; addX:X^2-X; addY:Y^5+1; addX:X^5+X'
+(degree 100, 818 terms) 0.38 to 0.55 s (median 0.42 s) and 21 MB, and
+the centralizer of Dixmier's L at bound 100 takes 1.07 to 1.20 s (median
+1.12 s) and 60 MB, that of X + (Y + X^2)^3 0.67 to 1.12 s (median
+0.71 s) and 37 MB (process time and peak RSS, as ru_maxrss, of the whole
+CLI call, the centralizers with `--json`, ten runs, one core of a shared
+2-vCPU virtual machine, CPython 3.11); the solver's cost also grows with
+the number of terms of P and with the share of the triangle that its
+Newton polygon covers.  `oracle-check` of two degree-100 elements
+("(X+Y)^100" with itself) takes 0.74 to 0.97 s (median 0.81 s) and
+22 MB, and `oracle-check --mul "(X+Y)^50" "(X-Y)^50"` 1.81 to 2.66 s
+(median 1.97 s), measured the same way.  Powers are formed by
 repeated squaring, and every power formed on the way is checked against
 the coefficient limit.
 

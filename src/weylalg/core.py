@@ -178,7 +178,9 @@ class WeylElement:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            # a scalar equals its number, so it hashes like it
+            t = self._terms
+            self._hash = hash(t.get((0, 0), 0)) if self.is_scalar() else hash(frozenset(t.items()))
         return self._hash
 
     def __add__(self, other: "WeylElement | Coefficient") -> "WeylElement":

@@ -16,8 +16,10 @@ the coefficient of the term with min(i, j) = a; back by v <- Z * v + f_m for
 m from the top down, in the basis (Z)_a, where Z (Z)_a = (Z)_(a+1) + a (Z)_a.
 Either costs O(a^2) integer operations, with no tables and no algebra products.
 
-XYPolynomial is a dense univariate polynomial over Fraction in a formal
-variable Z standing for the product XY.
+XYPolynomial is the one univariate polynomial type of the package: a dense
+polynomial over Fraction, stored as the tuple of its coefficients.  Here its
+variable is Z, standing for the product XY; the oracle (`oracle.py`) reads
+the same type in x, the variable its operators act on.
 """
 
 from __future__ import annotations
@@ -32,91 +34,61 @@ from .errors import MalformedInputError, NotHomogeneousError
 from .leading import diag_degree, _require_nonzero
 
 
-class XYPolynomial:
-    """Polynomial in Z with exact rational coefficients, ascending storage."""
+class XYPolynomial(tuple):
+    """Polynomial with exact rational coefficients: the tuple of them, ascending.
 
-    __slots__ = ("_coeffs",)
+    Trailing zeros are trimmed, so equality, hashing and truth are those of
+    the tuple, and a polynomial equals the plain tuple of its coefficients.
+    A number or a plain tuple is taken as a polynomial in `+`, `-` and `*`.
+    """
 
-    def __init__(self, coeffs: Iterable[Coefficient] = ()):
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[Coefficient] = ()) -> "XYPolynomial":
         out = [Fraction(c) for c in coeffs]
         while out and not out[-1]:
             out.pop()
-        self._coeffs = tuple(out)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return super().__new__(cls, out)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._coeffs) - 1
+        return len(self) - 1
 
     @property
     def leading_coeff(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
+        return self[-1] if self else Fraction(0)
 
     def coefficient(self, m: int) -> Fraction:
-        if 0 <= m < len(self._coeffs):
-            return self._coeffs[m]
-        return Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, XYPolynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs == XYPolynomial([other])._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return self[m] if 0 <= m < len(self) else Fraction(0)
 
     def __add__(self, other: "XYPolynomial | Coefficient") -> "XYPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = XYPolynomial([other])
-        if not isinstance(other, XYPolynomial):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return XYPolynomial(
-            [self.coefficient(m) + other.coefficient(m) for m in range(n)]
-        )
+        n = max(len(self), len(other))
+        return XYPolynomial([self.coefficient(m) + other.coefficient(m) for m in range(n)])
 
-    def __radd__(self, other: Coefficient) -> "XYPolynomial":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "XYPolynomial":
-        return XYPolynomial([-c for c in self._coeffs])
+        return XYPolynomial([-c for c in self])
 
     def __sub__(self, other: "XYPolynomial | Coefficient") -> "XYPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = XYPolynomial([other])
-        if not isinstance(other, XYPolynomial):
-            return NotImplemented
-        return self.__add__(-other)
+        other = _as_poly(other)
+        return NotImplemented if other is None else self + -other
 
     def __mul__(self, other: "XYPolynomial | Coefficient") -> "XYPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return XYPolynomial([c * Fraction(other) for c in self._coeffs])
-        if not isinstance(other, XYPolynomial):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
-        if not self or not other:
-            return XYPolynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for m, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for n, b in enumerate(other._coeffs):
-                if b:
-                    out[m + n] += a * b
+        out = [Fraction(0)] * (len(self) + len(other) - 1)
+        for m, a in enumerate(self):
+            for n, b in enumerate(other):
+                out[m + n] += a * b
         return XYPolynomial(out)
 
-    def __rmul__(self, other: Coefficient) -> "XYPolynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "XYPolynomial":
         if n < 0:
@@ -130,23 +102,31 @@ class XYPolynomial:
         """f(Z + s), expanded in the monomial basis by Horner's scheme."""
         s = Fraction(s)
         out: list[Fraction] = []
-        for c in reversed(self._coeffs):
+        for c in reversed(self):
             # out <- out * (Z + s) + c
             out = [x + s * y for x, y in zip([0, *out], [*out, 0])]
             out[0] += c
         return XYPolynomial(out)
 
     def derivative(self) -> "XYPolynomial":
-        return XYPolynomial([m * c for m, c in enumerate(self._coeffs)][1:])
+        return XYPolynomial([m * c for m, c in enumerate(self)][1:])
 
     def __call__(self, value: Coefficient) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self):
             acc = acc * Fraction(value) + c
         return acc
 
     def __repr__(self) -> str:
-        return f"XYPolynomial({[str(c) for c in self._coeffs]})"
+        return f"XYPolynomial({[str(c) for c in self]})"
+
+
+def _as_poly(other: object) -> XYPolynomial | None:
+    # a number is a constant and a tuple its coefficients, so that no
+    # operator falls back to tuple concatenation or repetition
+    if isinstance(other, (int, Fraction)):
+        other = (other,)
+    return XYPolynomial(other) if isinstance(other, tuple) else None
 
 
 Z = XYPolynomial([0, 1])
@@ -198,10 +178,10 @@ def to_graded_form(h: WeylElement) -> GradedForm:
 
 def from_graded_form(form: GradedForm) -> WeylElement:
     """Expand back into canonical normal form; inverse of to_graded_form."""
-    coeffs = form.poly.coeffs
-    d = lcm(*(c.denominator for c in coeffs))
+    f = form.poly
+    d = lcm(*(c.denominator for c in f))
     v: list[int] = []
-    for c in reversed(coeffs):
+    for c in reversed(f):
         # v <- Z * v + c, with v_a the coefficient of (Z)_a
         v = [x + a * y for a, (x, y) in enumerate(zip([0, *v], [*v, 0]))]
         v[0] += c.numerator * (d // c.denominator)
@@ -212,6 +192,6 @@ def from_graded_form(form: GradedForm) -> WeylElement:
 def evaluate_at_element(f: XYPolynomial, s: WeylElement) -> WeylElement:
     """f(s) inside the algebra, by Horner's scheme."""
     acc = WeylElement()
-    for c in reversed(f.coeffs):
+    for c in reversed(f):
         acc = mul(acc, s) + c
     return acc

@@ -7,34 +7,28 @@ The action never touches the normal-form product, so agreement between
 term by term in closed form, X^i Y^j x^n = n!/(n-j)! x^(n-j+i), and summed
 in integers over one denominator, so no derivative is formed.
 
-A polynomial is a tuple of Fraction coefficients, ascending in degree,
-with trailing zeros trimmed.
+A polynomial in x is an `XYPolynomial`, the package's one univariate
+type, read here in x rather than in Z = XY: the tuple of its Fraction
+coefficients, ascending in degree, with trailing zeros trimmed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, perm
-from typing import Iterable
 
-from .core import Coefficient, WeylElement, _integer_terms
+from .core import WeylElement, _integer_terms
+from .graded import XYPolynomial
 
-PolyVector = tuple[Fraction, ...]
-
-
-def poly_from_coeffs(coeffs: Iterable[Coefficient]) -> PolyVector:
-    out = [Fraction(c) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+poly_from_coeffs = XYPolynomial  # an older name, which `bench/checks.py` builds test polynomials by
 
 
-def x_power(n: int) -> PolyVector:
+def x_power(n: int) -> XYPolynomial:
     """The basis polynomial x^n."""
-    return poly_from_coeffs([0] * n + [1])
+    return XYPolynomial([0] * n + [1])
 
 
-def act(a: WeylElement, p: PolyVector) -> PolyVector:
+def act(a: WeylElement, p: XYPolynomial) -> XYPolynomial:
     """Apply sum a_ij x^i (d/dx)^j to p, exactly.
 
     With a = sum c_ij / d X^i Y^j and p = sum v_n / e x^n over integers,
@@ -44,7 +38,7 @@ def act(a: WeylElement, p: PolyVector) -> PolyVector:
     return _act(_integer_terms(a), p)
 
 
-def _act(form: tuple[int, list[tuple[int, int, int]]], p: PolyVector) -> PolyVector:
+def _act(form: tuple[int, list[tuple[int, int, int]]], p: XYPolynomial) -> XYPolynomial:
     # `act` of the element whose integer form (`core._integer_terms`) is `form`
     d, terms = form
     e = lcm(*(v.denominator for v in p))
@@ -57,7 +51,7 @@ def _act(form: tuple[int, list[tuple[int, int, int]]], p: PolyVector) -> PolyVec
             if j <= n:
                 key = n - j + i
                 acc[key] = acc.get(key, 0) + c * v * perm(n, j)
-    return poly_from_coeffs(Fraction(acc.get(n, 0), d * e) for n in range(max(acc, default=-1) + 1))
+    return XYPolynomial(Fraction(acc.get(n, 0), d * e) for n in range(max(acc, default=-1) + 1))
 
 
 def max_y_exponent(a: WeylElement) -> int:

@@ -1027,6 +1027,48 @@ class TestCertificateByDimension:
         assert packed_calls(pair.p, bound) == (0, bound // total_degree(pair.p) + 1)
 
 
+def descent_returns(p, bound) -> list[tuple[list | int, int]]:
+    """(what `_ray_descent` returned, its floor) for each call `centralizer_basis` makes."""
+    descent, seen = weylalg.centralizer._ray_descent, []
+
+    def recording(rows, columns, lead, direction, floor):
+        out = descent(rows, columns, lead, direction, floor)
+        seen.append((out, floor))
+        return out
+
+    with mock.patch.object(weylalg.centralizer, "_ray_descent", recording):
+        centralizer_basis(p, bound)
+    return seen
+
+
+def assert_stopped_or_above(p, bound):
+    """The descent returns a count at most its floor, or more vectors than the floor.
+
+    So a list of at most floor vectors in `centralizer_basis` comes only from
+    a descent that lost a vector, which the powers catch
+    (`test_derivation.py::TestPowerCertificate`).
+    """
+    returns = descent_returns(p, bound)
+    assert len(returns) == 1
+    for out, floor in returns:
+        assert out <= floor if isinstance(out, int) else len(out) > floor
+
+
+class TestDescentReturn:
+    @pytest.mark.parametrize(
+        "p, bound",
+        [(DIXMIER_L, 6), (DIXMIER_L, 36), (DIXMIER_L_MIRROR, 36), (P6, 36), (P6, 60)],
+        ids=["L@6", "L@36", "L-mirror@36", "P6@36", "P6@60"],
+    )
+    def test_named(self, p, bound):
+        assert_stopped_or_above(p, bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sector_script_pairs(), st.integers(0, 9))
+    def test_script_pairs(self, pair, extra):
+        assert_stopped_or_above(pair.p, total_degree(pair.p) + extra)
+
+
 class TestRegionByIntervals:
     """`_newton_columns` cuts one interval per X exponent; the reference tests every monomial of the triangle."""
 
@@ -1181,6 +1223,13 @@ class TestDecompose:
         basis = centralizer_basis(power(X, 2), 6)
         with pytest.raises(MembershipError):
             decompose(Y, basis)
+
+    def test_basis_of_the_constants_round_trips(self):
+        # it has no picks, and S_0 is 1 both ways
+        basis = CentralizerBasis(element=X, bound=0, levels=(0,), by_level={0: ONE})
+        parts = decompose(3 * ONE, basis)
+        assert parts == [XYPolynomial([3])]
+        assert recompose(parts, basis) == 3 * ONE
 
 
 class TestDecomposeSyntheticPeriodTwo:

@@ -35,6 +35,45 @@ xy_polys = st.builds(
 )
 
 
+class TestTupleType:
+    """An XYPolynomial is the tuple of its coefficients, with a polynomial's operators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(xy_polys)
+    def test_equals_its_plain_tuple(self, f):
+        plain = tuple(f)
+        assert f == plain and plain == f and hash(f) == hash(plain)
+        assert all(type(c) is Fraction for c in f) and (not f or f[-1])
+
+    def test_equality_hash_and_truth_come_from_the_tuple(self):
+        assert not {"__eq__", "__hash__", "__bool__"} & set(vars(XYPolynomial))
+        assert XYPolynomial([1, 0, 0]) == (1,) and len(XYPolynomial([0, 0])) == 0
+        assert not XYPolynomial() and XYPolynomial([0, 1])
+        assert XYPolynomial([1]) < XYPolynomial([1, 1]) < XYPolynomial([2])
+
+    def test_a_constant_is_not_a_number(self):
+        assert XYPolynomial([3]) != 3 and XYPolynomial() != 0
+        assert XYPolynomial([3]) == (3,)
+
+    def test_operators_add_and_scale(self):
+        f, g = XYPolynomial([1, 2]), XYPolynomial([0, 0, 3])
+        assert 3 * f == f * 3 == (3, 6)
+        assert f + g == g + f == (1, 2, 3) and f - g == (1, 2, -3)
+        # a plain tuple is a polynomial too: it adds, and is not concatenated
+        assert f + (1, 1) == (1, 1) + f == (2, 3) and (0, 1) * f == (0, 1, 2)
+        assert all(type(h) is XYPolynomial for h in (3 * f, f * 3, f + g, f - g, (1, 1) + f))
+        with pytest.raises(TypeError):
+            f * 1.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(xy_polys, xy_polys, st.fractions(max_denominator=9))
+    def test_operators_act_on_coefficients(self, f, g, c):
+        n = max(len(f), len(g))
+        assert f + g == XYPolynomial(f.coefficient(m) + g.coefficient(m) for m in range(n))
+        assert c * f == f * c == XYPolynomial(c * v for v in f)
+        assert f - g + g == f
+
+
 class TestHomogeneousComponents:
     def test_two_pieces(self):
         assert homogeneous_components(X + power(Y, 2)) == {1: X, -2: power(Y, 2)}

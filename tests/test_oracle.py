@@ -4,7 +4,7 @@ from math import factorial
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from weylalg import ONE, WeylElement, X, Y, from_terms, mul, power
+from weylalg import ONE, WeylElement, X, XYPolynomial, Y, from_terms, mul, power
 from weylalg.oracle import (
     act,
     max_y_exponent,
@@ -33,7 +33,21 @@ class TestAct:
         assert act(left, x_power(2)) == composed == poly_from_coeffs([0, 0, 12])
 
 
-def _act_per_term(a: WeylElement, p) -> tuple[Fraction, ...]:
+class TestOnePolynomialType:
+    def test_act_builds_and_returns_xy_polynomials(self):
+        assert poly_from_coeffs is XYPolynomial
+        assert type(x_power(3)) is type(act(Y, x_power(3))) is XYPolynomial
+
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_elements(), st.integers(0, 6))
+    def test_image_equals_its_plain_tuple(self, a, n):
+        # the benchmark checks compare images with plain tuples of Fractions
+        image = act(a, x_power(n))
+        plain = tuple(image)
+        assert image == plain and plain == image and hash(image) == hash(plain)
+
+
+def _act_per_term(a: WeylElement, p) -> XYPolynomial:
     """Reference action: each term differentiates p again, j times."""
     acc: dict[int, Fraction] = {}
     for (i, j), c in a.terms.items():
