@@ -21,13 +21,14 @@ set of monomials with deg(P) (rho a + sigma b) <= D h for every edge of
 
 The commutator matrix is assembled by exponent shifts: in
 [P, X^a Y^b] = [P, X^a] Y^b + X^a [P, Y^b] the outer factors only raise
-exponents, so each column merges two brackets formed once per a and b,
-by the loop of `core` that the monomial-rule `commutator` runs too.  The
-columns are merged one target diagonal at a time, from the top: every
-entry of column (a, b) lies on a diagonal at most (a - b) + r, r the top
-diagonal of P, so a diagonal's rows are complete once the columns that
-reach it are in, and the descent reads them then.  A descent that stops
-early leaves the lower columns unmerged and their brackets unformed.
+exponents, so each column is made of brackets of the diagonal pieces
+P_d of P (its terms with i - j = d) against X^a and Y^b, formed once per
+piece and a or b by the loop of `core` that the monomial-rule
+`commutator` runs too.  [P_d, X^a Y^b] lies on diagonal d + (a - b)
+alone, so the rows of target diagonal g are the pieces P_d against the
+columns on diagonal g - d.  They are merged one target diagonal at a
+time, from the top, when the descent asks for them: a descent that stops
+early forms and merges nothing below the last diagonal it read.
 
 The kernel is found by a descent in the diagonal-major order (diagonal
 first, then the X exponent).  With (i0, j0) the leading weight of P, the
@@ -366,63 +367,60 @@ def _ad_rows(p: WeylElement, columns: list[Monomial]) -> Iterator[tuple[dict[int
 
     Yields (row, target) by target, highest in the order first; no row is
     empty.  The columns must come in descending order of their diagonal,
-    as every solver lists them.  Each column merges two shifted brackets
-    (module docstring), [P, X^a] and [P, Y^b], formed on first use by the
-    bracket rule of `core`, `_bracket_sums`, and its entries go straight
-    into the rows of their diagonal.  Every entry of column (a, b) lies on
-    a diagonal at most (a - b) + r, r the top diagonal of P, so the rows of
-    diagonal g are complete once every column with (a - b) + r >= g is
-    merged, and are yielded then: a consumer that stops early leaves the
-    lower columns unmerged.
+    as every solver lists them.  The rows are built one target diagonal g
+    at a time, from the top, when the consumer asks for it: for each
+    diagonal piece P_d of P, every column (a, b) on diagonal g - d adds
+    [P_d, X^a] Y^b + X^a [P_d, Y^b], its only entries on g (module
+    docstring).  Each bracket is formed on first use by the bracket rule
+    of `core`, `_bracket_sums`, and kept for the rest of the stream, so a
+    full stream forms every entry once, and a consumer that stops early
+    forms nothing below the last diagonal it read.
     """
     _, p_terms = _integer_terms(p)
-    r = max((i - j for i, j, _ in p_terms), default=0)
-    # a -> [P, X^a] and b -> [P, Y^b], each as its nonzero terms (x - y, x, value)
-    with_x: dict[int, list[tuple[int, int, int]]] = {}
-    with_y: dict[int, list[tuple[int, int, int]]] = {}
-    pending: dict[int, dict[int, dict[int, int]]] = {}  # diagonal -> X exponent -> row
-    g = max((a - b + r for a, b in columns[:1]), default=0)  # the highest diagonal not yielded
+    pieces: dict[int, list[tuple[int, int, int]]] = {}  # d -> the terms of P_d
+    for t in p_terms:
+        pieces.setdefault(t[0] - t[1], []).append(t)
+    by_diagonal: dict[int, list[tuple[int, int, int]]] = {}  # a - b -> [(index, a, b)]
     for idx, (a, b) in enumerate(columns):
-        top = a - b + r
-        if top > g:
+        if idx and a - b > columns[idx - 1][0] - columns[idx - 1][1]:
             raise InternalInconsistencyError("columns are not in descending order of their diagonal")
-        while g > top:
-            yield from _diagonal_rows(pending.pop(g, {}), g)
-            g -= 1
-        if a not in with_x:
-            with_x[a] = [(x - y, x, v) for (x, y), v in _bracket_sums(p_terms, [(a, 0, 1)]).items() if v]
-        if b not in with_y:
-            with_y[b] = [(x - y, x, v) for (x, y), v in _bracket_sums(p_terms, [(0, b, 1)]).items() if v]
-        # [P, X^a] Y^b: (x, y) -> (x, y + b); X^a [P, Y^b]: (x, y) -> (x + a, y)
-        for d, x, v in with_x[a]:
-            rows = pending.get(d - b)
-            if rows is None:
-                rows = pending[d - b] = {}
-            row = rows.get(x)
-            if row is None:
-                rows[x] = {idx: v}
-            else:
-                row[idx] = v
-        for d, x, v in with_y[b]:
-            rows = pending.get(d + a)
-            if rows is None:
-                rows = pending[d + a] = {}
-            row = rows.get(x + a)
-            if row is None:
-                rows[x + a] = {idx: v}
-            else:
-                s = row.get(idx, 0) + v
-                if s:
-                    row[idx] = s
-                else:
-                    del row[idx]
-    for g in sorted(pending, reverse=True):
-        yield from _diagonal_rows(pending[g], g)
-
-
-def _diagonal_rows(rows: dict[int, dict[int, int]], g: int) -> list[tuple[dict[int, int], Monomial]]:
-    # the nonempty rows of diagonal g and their targets, by descending X exponent
-    return [(rows[x], (x, x - g)) for x in sorted(rows, reverse=True) if rows[x]]
+        by_diagonal.setdefault(a - b, []).append((idx, a, b))
+    if not (pieces and by_diagonal):
+        return
+    # d -> a -> [P_d, X^a] and d -> b -> [P_d, Y^b], each as its nonzero terms (x, value);
+    # by ascending d, the columns of a row come in by index
+    shifts = [(d, pieces[d], {}, {}) for d in sorted(pieces)]
+    for g in range(max(by_diagonal) + max(pieces), min(by_diagonal) + min(pieces) - 1, -1):
+        rows: dict[int, dict[int, int]] = {}  # X exponent -> row
+        for d, terms, with_x, with_y in shifts:
+            for idx, a, b in by_diagonal.get(g - d, ()):
+                xs = with_x.get(a)
+                if xs is None:
+                    xs = with_x[a] = [(x, v) for (x, _), v in _bracket_sums(terms, [(a, 0, 1)]).items() if v]
+                ys = with_y.get(b)
+                if ys is None:
+                    ys = with_y[b] = [(x, v) for (x, _), v in _bracket_sums(terms, [(0, b, 1)]).items() if v]
+                # [P_d, X^a] Y^b keeps the X exponent; X^a [P_d, Y^b] raises it by a
+                for x, v in xs:
+                    row = rows.get(x)
+                    if row is None:
+                        rows[x] = {idx: v}
+                    else:
+                        row[idx] = v
+                for x, v in ys:
+                    row = rows.get(x + a)
+                    if row is None:
+                        rows[x + a] = {idx: v}
+                    else:
+                        s = row.get(idx, 0) + v
+                        if s:
+                            row[idx] = s
+                        else:
+                            del row[idx]
+        # the nonempty rows of diagonal g and their targets, by descending X exponent
+        for x in sorted(rows, reverse=True):
+            if rows[x]:
+                yield rows[x], (x, x - g)
 
 
 def _ad_matrix_rows(
@@ -448,11 +446,14 @@ def _ray_descent(
     solved for its smallest level p, and t_p is put at once into every
     earlier relation that holds it, so each relation is over levels
     without a relation.  Solved columns keep the form they were solved in
-    and take the relations when a row combines them; at the end every
-    column takes them, and each free level's basis vector is read off as an
-    integer form over the lcm of the denominators its columns carry.  A
-    row that meets an unsolved column, or a column left unsolved,
-    contradicts the structure in the module docstring and raises.
+    and take the relations when a row combines them.  A row is combined in
+    one pass over its entries, over a running denominator, the lcm of the
+    denominators met so far: a column's denominator that does not divide
+    it scales the sum up.  At the end every column takes the relations,
+    and each free level's basis vector is read off as an integer form
+    over the lcm of the denominators its columns carry.  A row that meets
+    an unsolved column, or a column left unsolved, contradicts the
+    structure in the module docstring and raises.
 
     `floor` is a lower bound on the dimension of the kernel.  The rows read
     so far cut out a space V that holds the kernel, of one dimension per
@@ -499,14 +500,19 @@ def _ray_descent(
         col = index.get((x - i0 + 1, y - j0 + 1))
         if col in ray:
             col = None  # the top term of a ray column vanishes: a constraint row
-        if any(c not in solved for c in row if c != col):
-            raise InternalInconsistencyError("descent row meets a column that is not solved yet")
-        den = lcm(*(solved[c][1] for c in row if c != col))
-        acc: dict[int, int] = {}
+        den, acc = 1, {}  # the lcm of the denominators so far, and the sum over it
         for c, v in row.items():
             if c == col:
                 continue
-            vec, d = solved[c]
+            entry = solved.get(c)
+            if entry is None:
+                raise InternalInconsistencyError("descent row meets a column that is not solved yet")
+            vec, d = entry
+            if den % d:
+                f = d // gcd(den, d)
+                den *= f
+                for l in acc:
+                    acc[l] *= f
             scale = v * (den // d)
             for l, u in vec.items():
                 acc[l] = acc.get(l, 0) + scale * u

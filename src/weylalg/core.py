@@ -27,7 +27,11 @@ the coefficients, so
 
 with f the lowering factor; the i = 0 terms, which cancel, are never formed.
 That loop, `_bracket_sums`, is the one bracket rule of the package: the
-centralizer's matrix assembly runs it on P against X^a and Y^b.
+centralizer's matrix assembly runs it on the diagonal pieces of P against
+X^a and Y^b.  Every term pair there is one-sided: with m = 0 or k = 0,
+f(m,k,i) is 0 for i >= 1 (its row is (1,)), and with l = 0 or j = 0 so is
+f(j,l,i).  Such a pair loops over the other row alone, whose entries are
+positive, and skips the padded difference a dense pair forms for every i.
 
 The second kernel, `_sampled_sums`, works through the action on Q[x] (X is
 multiplication by x, Y is d/dx).  There
@@ -292,6 +296,13 @@ def _bracket_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]
                 continue  # the two monomials commute
             c = ca * cb
             x, y = k + l, j + m
+            if nab == 1 or nba == 1:
+                # one row is (1,): only the other lowers, by positive factors
+                c, f = (c, ab) if nba == 1 else (-c, ba)
+                for i in range(1, len(f)):
+                    key = (x - i, y - i)
+                    sums[key] = get(key, 0) + c * f[i]
+                continue
             for i in range(1, max(nab, nba)):
                 w = (ab[i] if i < nab else 0) - (ba[i] if i < nba else 0)
                 if w:

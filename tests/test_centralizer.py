@@ -670,6 +670,43 @@ class TestAssemblyByShifts:
         assert next(_ad_rows(DIXMIER_L, columns)) == (rows[0], targets[0])
         assert 0 < len(formed) < every / 4
 
+    def test_stopped_check_forms_only_the_diagonals_it_reads(self, monkeypatch):
+        """The degree-27 pair's descent stops after 121 rows, and the stream
+        forms the brackets of the diagonals of those rows only: fewer than
+        half of those the whole stream forms on the same columns."""
+        p = dixmier_pair_from_script(_parse_script("addY:Y^3; addX:X^3; addY:Y^3")).p
+        bracket_sums = weylalg.centralizer._bracket_sums
+        ad_rows = weylalg.centralizer._ad_rows
+        descent = weylalg.centralizer._ray_descent
+        formed, streams, read = [], [], []
+
+        def counting(ta, tb):
+            formed.append(tb)
+            return bracket_sums(ta, tb)
+
+        def recording(side, columns):
+            streams.append((side, columns))
+            return ad_rows(side, columns)
+
+        def reading(rows, *args):
+            def counted():
+                for item in rows:
+                    read.append(item)
+                    yield item
+
+            return descent(counted(), *args)
+
+        monkeypatch.setattr(weylalg.centralizer, "_bracket_sums", counting)
+        monkeypatch.setattr(weylalg.centralizer, "_ad_rows", recording)
+        monkeypatch.setattr(weylalg.centralizer, "_ray_descent", reading)
+        assert centralizer_basis(p, 27).dimension == 27 // total_degree(p) + 1
+        stopped = len(formed)
+        assert len(streams) == 1 and len(read) == 121
+        formed.clear()
+        rows, _ = _ad_matrix_rows(*streams[0])
+        assert len(rows) == 459
+        assert 0 < stopped < len(formed) / 2
+
     def test_columns_out_of_order_raise(self):
         columns = _newton_columns(DIXMIER_L, 12)[::-1]
         with pytest.raises(InternalInconsistencyError, match="descending order of their diagonal"):
@@ -875,13 +912,29 @@ def descent_with_floor(move):
 
 
 class ReadRow(dict):
-    """A row of the ad matrix that records whether the descent read it."""
+    """A row of the ad matrix that records whether the descent read it.
+
+    A read is any access to its entries: iteration, `items`, `get` or
+    indexing.
+    """
 
     read = False
 
     def __iter__(self):
         self.read = True
         return super().__iter__()
+
+    def items(self):
+        self.read = True
+        return super().items()
+
+    def get(self, *args):
+        self.read = True
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.read = True
+        return super().__getitem__(key)
 
 
 def floor_and_unread_rows(p, bound):

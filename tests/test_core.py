@@ -274,6 +274,41 @@ def test_action_is_additive(a, b, n):
     assert act(add(a, b), p) == act(a, p) + act(b, p)
 
 
+_integer_operands = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-9, 9).filter(bool)), max_size=5
+)
+
+
+@st.composite
+def bracket_operands(draw):
+    """(ta, tb) over integer terms, tb a single X^l, a single Y^m or general.
+
+    The single powers make every term pair one-sided: one row of lowering
+    factors is (1,).
+    """
+    case = draw(st.sampled_from(["X^l", "Y^m", "general"]))
+    if case == "general":
+        return draw(_integer_operands), draw(_integer_operands)
+    e, n = draw(st.integers(0, 6)), draw(st.integers(-9, 9).filter(bool))
+    return draw(_integer_operands), [(e, 0, n) if case == "X^l" else (0, e, n)]
+
+
+def _nonzero(sums):
+    return {m: v for m, v in sums.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_operands())
+@example(([(2, 3, 1), (0, 0, 4)], [(3, 0, -2)]))
+@example(([(2, 3, 1), (5, 1, 4)], [(0, 4, 3)]))
+def test_bracket_sums_is_the_difference_of_the_products(operands):
+    ta, tb = operands
+    for a, b in ((ta, tb), (tb, ta)):
+        ab, ba = _product_sums(a, b), _product_sums(b, a)
+        difference = {m: ab.get(m, 0) - ba.get(m, 0) for m in ab.keys() | ba.keys()}
+        assert _nonzero(_bracket_sums(a, b)) == _nonzero(difference)
+
+
 # The sampled kernel, called directly: the dispatch sends small operands to
 # the monomial rule, so the public functions never reach it here.
 
