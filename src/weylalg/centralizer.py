@@ -62,11 +62,11 @@ solver's floor is 0: a grade whose one parameter gets a relation ends
 there, empty.
 
 Coefficients stay integers from the descent to the basis.  The descent
-returns each vector as an integer form, numerators by monomial over one
-positive denominator; `_rebased` and `_packed` take such forms, and the
-powers of P are formed in them by `core._product`, the kernel choice of
-`mul`.  Fractions are built once, for the basis elements, and the basis
-keeps the forms for `expand_in_basis`.
+returns each vector as an integer form, the package's one `core.Form`:
+numerators by monomial over one positive denominator.  `_rebased` and
+`_packed` take such forms, and the powers of P are formed in them by
+`core._product`, the kernel choice of `mul`.  Fractions are built once, for
+the basis elements, and the basis keeps the forms for `expand_in_basis`.
 
 A homogeneous P of diagonal degree r > 0 is X^r f(XY), and [P, -] maps
 diagonal g to diagonal g + r, so its centralizer splits into components,
@@ -150,11 +150,12 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping
 
-from .core import Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
-from .core import _bracket_sums, _factors, _integer_terms, _over, _product
+from .core import Form, Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
+from .core import _bracket_sums, _factors, _integer_form, _over, _product
 from .errors import (
     BoundError,
     InternalInconsistencyError,
+    MalformedInputError,
     MembershipError,
     NotHomogeneousError,
     WrongSectorError,
@@ -178,7 +179,6 @@ from .leading import (
 )
 
 Sector = Literal["x", "y"]
-Form = tuple[dict[Monomial, int], int]  # (T, e): sum of T[(i, j)] / e X^i Y^j, e > 0
 
 
 class ComponentKind(Enum):
@@ -207,6 +207,8 @@ def homogeneous_centralizer_component(p: WeylElement, grade: int) -> Centralizer
     there, empty.  The descent runs on q itself, with the direction already
     found.
     """
+    if not isinstance(grade, int):
+        raise MalformedInputError(f"grade must be an integer, got {grade!r}")
     if not p:
         raise WrongSectorError("the centralizer of 0 is the whole algebra")
     if not is_homogeneous(p):
@@ -331,9 +333,25 @@ def _order_key(m: Monomial) -> tuple[int, int]:
     return (m[0] - m[1], m[0])
 
 
-def _integer_form(a: WeylElement) -> Form:
-    d = lcm(*(c.denominator for c in a.terms.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in a.terms.items()}, d
+def _lowest(acc: dict, den: int) -> tuple[dict, int]:
+    """acc / den in lowest terms: over a positive denominator, with no zero entry."""
+    g = gcd(den, *acc.values()) * (1 if den > 0 else -1)
+    return {k: v // g for k, v in acc.items() if v}, den // g
+
+
+def _combination(parts: list[tuple[int, Mapping[Monomial, int], int]]) -> Form:
+    """(sums, s): the sum of c T / e over the parts (c, T, e) is sums / s, s the lcm of the e.
+
+    Cancelled sums stay 0; no parts give ({}, 1).
+    """
+    s = lcm(*(e for _, _, e in parts))
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for c, t, e in parts:
+        f = c * (s // e)
+        for m, v in t.items():
+            sums[m] = get(m, 0) + f * v
+    return sums, s
 
 
 def _newton_columns(p: WeylElement, bound: int) -> list[Monomial]:
@@ -376,10 +394,9 @@ def _ad_rows(p: WeylElement, columns: list[Monomial]) -> Iterator[tuple[dict[int
     full stream forms every entry once, and a consumer that stops early
     forms nothing below the last diagonal it read.
     """
-    _, p_terms = _integer_terms(p)
-    pieces: dict[int, list[tuple[int, int, int]]] = {}  # d -> the terms of P_d
-    for t in p_terms:
-        pieces.setdefault(t[0] - t[1], []).append(t)
+    pieces: dict[int, dict[Monomial, int]] = {}  # d -> the numerators of P_d
+    for (i, j), v in _integer_form(p)[0].items():
+        pieces.setdefault(i - j, {})[(i, j)] = v
     by_diagonal: dict[int, list[tuple[int, int, int]]] = {}  # a - b -> [(index, a, b)]
     for idx, (a, b) in enumerate(columns):
         if idx and a - b > columns[idx - 1][0] - columns[idx - 1][1]:
@@ -396,10 +413,10 @@ def _ad_rows(p: WeylElement, columns: list[Monomial]) -> Iterator[tuple[dict[int
             for idx, a, b in by_diagonal.get(g - d, ()):
                 xs = with_x.get(a)
                 if xs is None:
-                    xs = with_x[a] = [(x, v) for (x, _), v in _bracket_sums(terms, [(a, 0, 1)]).items() if v]
+                    xs = with_x[a] = [(x, v) for (x, _), v in _bracket_sums(terms, {(a, 0): 1}).items() if v]
                 ys = with_y.get(b)
                 if ys is None:
-                    ys = with_y[b] = [(x, v) for (x, _), v in _bracket_sums(terms, [(0, b, 1)]).items() if v]
+                    ys = with_y[b] = [(x, v) for (x, _), v in _bracket_sums(terms, {(0, b): 1}).items() if v]
                 # [P_d, X^a] Y^b keeps the X exponent; X^a [P_d, Y^b] raises it by a
                 for x, v in xs:
                     row = rows.get(x)
@@ -493,8 +510,7 @@ def _ray_descent(
             f = vec[p] * (s // d)
             for l, v in expr.items():
                 out[l] = out.get(l, 0) + f * v
-        g = gcd(den * s, *out.values())
-        return {l: v // g for l, v in out.items() if v}, den * s // g
+        return _lowest(out, den * s)
 
     for row, (x, y) in rows:
         col = index.get((x - i0 + 1, y - j0 + 1))
@@ -521,13 +537,10 @@ def _ray_descent(
             pivot = row.get(col)
             if not pivot:
                 raise InternalInconsistencyError("descent pivot is missing from its row")
-            den *= -pivot
-            g = gcd(den, *acc.values()) * (1 if den > 0 else -1)
-            solved[col] = ({l: u // g for l, u in acc.items()}, den // g)
+            solved[col] = _lowest(acc, -den * pivot)
         elif acc:
             p = min(acc)
-            g = gcd(*acc.values()) * (1 if acc[p] > 0 else -1)
-            relations[p] = ({l: -v // g for l, v in acc.items() if l != p}, acc[p] // g)
+            relations[p] = _lowest({l: -v for l, v in acc.items() if l != p}, acc[p])
             for l, (expr, d) in relations.items():
                 if p in expr:
                     relations[l] = reduced(expr, d)
@@ -602,17 +615,13 @@ def _packed(p: WeylElement, forms: list[Mapping[Monomial, int]]) -> tuple[WeylEl
     nonzero modulo 2^((k+1) s).  So [p, Z] = [d_P P, Z] / d_P is 0 exactly
     when every digit is 0.
     """
-    _, p_terms = _integer_terms(p)
+    p_terms = _integer_form(p)[0]
     x_s, y_s = (max(m[n] for form in forms for m in form) for n in (0, 1))
-    x_p, y_p = (max(t[n] for t in p_terms) for n in (0, 1))
+    x_p, y_p = (max(m[n] for m in p_terms) for n in (0, 1))
     f = max(_factors(y_p, x_s) + _factors(y_s, x_p))
-    bound = sum(abs(c) for *_, c in p_terms) * max(sum(map(abs, form.values())) for form in forms) * f
+    bound = sum(map(abs, p_terms.values())) * max(sum(map(abs, form.values())) for form in forms) * f
     s = bound.bit_length() + 1
-    acc: dict[Monomial, int] = {}
-    for k, form in enumerate(forms):
-        for m, c in form.items():
-            acc[m] = acc.get(m, 0) + (c << k * s)
-    return _over(acc, 1), bound
+    return _over(*_combination([(1 << k * s, form, 1) for k, form in enumerate(forms)])), bound
 
 
 def _mirror_side(q: WeylElement, columns: list[Monomial], direction: Weight) -> bool:
@@ -663,17 +672,8 @@ def _rebased(vectors: list[Form], direction: Weight) -> list[Form]:
     for level, form, ray in forms:
         if out and out[-1][0] == level:
             raise InternalInconsistencyError("two vectors lead at one ray level: they are linearly dependent")
-        below = [(ray[l], t, e) for l, t, e in out if l in ray]
-        s = lcm(*(e for _, _, e in below))
-        acc = {m: s * v for m, v in form.items()}
-        get = acc.get
-        for c, t, e in below:
-            f = c * (s // e)
-            for m, v in t.items():
-                acc[m] = get(m, 0) - f * v
-        den = s * ray[level]
-        g = gcd(den, *acc.values()) * (1 if den > 0 else -1)
-        out.append((level, {m: v // g for m, v in acc.items() if v}, den // g))
+        acc, s = _combination([(1, form, 1), *((-ray[l], t, e) for l, t, e in out if l in ray)])
+        out.append((level, *_lowest(acc, s * ray[level])))
     return [(t, e) for _, t, e in out]
 
 
@@ -698,12 +698,11 @@ def _reduced_kernel(q: WeylElement, columns: list[Monomial], direction: Weight, 
 
 def _powers(q: WeylElement, n: int) -> list[Form]:
     """1, q, ..., q^n as integer forms, each the last times q by `core._product`."""
-    d, terms = _integer_terms(q)
+    terms, d = _integer_form(q)
     out: list[Form] = [({(0, 0): 1}, 1)]
     for _ in range(n):
         form, e = out[-1]
-        sums = _product([(i, j, v) for (i, j), v in form.items()], terms)
-        out.append(({m: v for m, v in sums.items() if v}, e * d))
+        out.append(({m: v for m, v in _product(form, terms).items() if v}, e * d))
     return out
 
 
@@ -733,6 +732,8 @@ def centralizer_basis(p: WeylElement, bound: int) -> CentralizerBasis:
     A basis certified by the powers gets a private mark, which gives
     `derivation_report` its closed form (a copy by the constructor has none).
     """
+    if not isinstance(bound, int):
+        raise MalformedInputError(f"bound must be an integer, got {bound!r}")
     if in_xy_subalgebra(p):
         raise WrongSectorError(
             "element has no dominant generator: its centralizer is k[XY] "
@@ -808,18 +809,10 @@ def _expansion(basis: CentralizerBasis, terms: Mapping[Monomial, int], den: int)
         n = terms.get(basis.ray_point(l))
         if n:
             coords[l] = n
-    forms = basis._integer_forms
-    e = lcm(*(forms[l][1] for l in coords))
-    sums: dict[Monomial, int] = {}
-    get = sums.get
-    for l, n in coords.items():
-        t, d = forms[l]
-        f = n * (e // d)
-        for m, v in t.items():
-            sums[m] = get(m, 0) + f * v
+    sums, e = _combination([(n, *basis._integer_forms[l]) for l, n in coords.items()])
     if sum(1 for v in sums.values() if v) != len(terms):
         return None
-    if any(n * e != get(m, 0) for m, n in terms.items()):
+    if any(n * e != sums.get(m, 0) for m, n in terms.items()):
         return None
     return {l: Fraction(n, den) for l, n in coords.items()}
 

@@ -16,9 +16,11 @@ pairing lowers both exponents by one.  `_factors(j, l)` caches the row of
 these lowering factors.
 
 `mul` and `commutator` run on integers.  Each operand is scaled once to
-integer numerators over the lcm of its denominators, the products are
-summed as plain ints per monomial, and each output coefficient is divided
-by the product of the two denominators once, at the end.  In the
+its integer form, the package's one `Form` (T, d): the numerators T by
+monomial over d, the lcm of its denominators (`_integer_form`; `_over` is
+its inverse).  The kernels take numerator maps, the products are summed as
+plain ints per monomial, and each output coefficient is divided by the
+product of the two denominators once, at the end.  In the
 commutator, the monomial rule for a*b and for b*a lands on the same
 monomial for the same i, and the i = 0 terms are both the bare product of
 the coefficients, so
@@ -111,6 +113,7 @@ from .errors import InternalInconsistencyError, MalformedInputError, UndefinedOn
 
 Monomial = tuple[int, int]
 Coefficient = Fraction | int
+Form = tuple[dict[Monomial, int], int]  # (T, d): sum of T[(i, j)] / d X^i Y^j, d > 0
 
 _ZERO = Fraction(0)
 
@@ -259,10 +262,10 @@ def scalar_mul(c: Coefficient, a: WeylElement) -> WeylElement:
     return WeylElement._raw({k: c * v for k, v in a._terms.items()})
 
 
-def _integer_terms(a: WeylElement) -> tuple[int, list[tuple[int, int, int]]]:
-    """(d, [(i, j, n)]) with d the lcm of the denominators and a = sum n/d X^i Y^j."""
+def _integer_form(a: WeylElement) -> Form:
+    """(T, d) with d the lcm of the denominators and a = sum T[(i, j)] / d X^i Y^j, in a fresh dict."""
     d = lcm(*(c.denominator for c in a._terms.values()))
-    return d, [(i, j, c.numerator * (d // c.denominator)) for (i, j), c in a._terms.items()]
+    return {m: c.numerator * (d // c.denominator) for m, c in a._terms.items()}, d
 
 
 def _over(sums: dict[Monomial, int], den: int) -> WeylElement:
@@ -270,12 +273,12 @@ def _over(sums: dict[Monomial, int], den: int) -> WeylElement:
     return WeylElement._raw({key: Fraction(v, den) for key, v in sums.items() if v})
 
 
-def _product_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
-    """a*b over integer terms (i, j, n), by the monomial rule; cancelled sums stay 0."""
+def _product_sums(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """a*b over integer numerators, by the monomial rule; cancelled sums stay 0."""
     sums: dict[Monomial, int] = {}
-    get = sums.get
-    for k, j, ca in ta:
-        for l, m, cb in tb:
+    get, items_b = sums.get, tb.items()
+    for (k, j), ca in ta.items():
+        for (l, m), cb in items_b:
             c = ca * cb
             x, y = k + l, j + m
             for i, f in enumerate(_factors(j, l)):
@@ -284,12 +287,12 @@ def _product_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]
     return sums
 
 
-def _bracket_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
-    """[a, b] over integer terms (i, j, n), by the lowering terms i >= 1; cancelled sums stay 0."""
+def _bracket_sums(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """[a, b] over integer numerators, by the lowering terms i >= 1; cancelled sums stay 0."""
     sums: dict[Monomial, int] = {}
-    get = sums.get
-    for k, j, ca in ta:
-        for l, m, cb in tb:
+    get, items_b = sums.get, tb.items()
+    for (k, j), ca in ta.items():
+        for (l, m), cb in items_b:
             ab, ba = _factors(j, l), _factors(m, k)
             nab, nba = len(ab), len(ba)
             if nab == nba == 1:
@@ -311,14 +314,14 @@ def _bracket_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]
     return sums
 
 
-def _differences(terms: list[tuple[int, int, int]]) -> dict[int, list[int]]:
-    """{g: [Delta^0 w_g(0), ..., Delta^J w_g(0)]} for integer terms (i, j, n).
+def _differences(terms: Mapping[Monomial, int]) -> dict[int, list[int]]:
+    """{g: [Delta^0 w_g(0), ..., Delta^J w_g(0)]} for integer numerators.
 
     X^(j+g) Y^j sends x^n to n (n-1) ... (n-j+1) x^(n+g), whose j-th
     forward difference at n = 0 is j! and whose others there are 0.
     """
     diffs: dict[int, dict[int, int]] = {}
-    for i, j, c in terms:
+    for (i, j), c in terms.items():
         diffs.setdefault(i - j, {})[j] = c * factorial(j)
     return {g: [row.get(j, 0) for j in range(max(row) + 1)] for g, row in diffs.items()}
 
@@ -355,8 +358,8 @@ def _read_back(samples: dict[int, list[int]]) -> dict[Monomial, int]:
     return sums
 
 
-def _sampled_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]], bracket: bool) -> dict[Monomial, int]:
-    """a*b, or [a, b] when `bracket`, over integer terms, through the action on x^0, x^1, ..."""
+def _sampled_sums(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int], bracket: bool) -> dict[Monomial, int]:
+    """a*b, or [a, b] when `bracket`, over integer numerators, through the action on x^0, x^1, ..."""
     if not (ta and tb):
         return {}
     fa, fb = _differences(ta), _differences(tb)
@@ -383,40 +386,40 @@ def _sampled_sums(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]
     return _read_back(samples)
 
 
-def _sampled_pays(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]], bracket: bool) -> bool:
-    """True when the cost estimate favours sampling over the monomial rule, on integer terms."""
+def _sampled_pays(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int], bracket: bool) -> bool:
+    """True when the cost estimate favours sampling over the monomial rule, on integer numerators."""
     na, nb = len(ta), len(tb)
     if na * nb < _DIRECT_PAIRS:
         return False
-    xa = sum(i for i, _, _ in ta) / na
-    ya = sum(j for _, j, _ in ta) / na
-    xb = sum(i for i, _, _ in tb) / nb
-    yb = sum(j for _, j, _ in tb) / nb
+    xa = sum(i for i, _ in ta) / na
+    ya = sum(j for _, j in ta) / na
+    xb = sum(i for i, _ in tb) / nb
+    yb = sum(j for _, j in tb) / nb
     lowering = max(min(ya, xb), min(yb, xa)) if bracket else min(ya, xb)
-    grades_a = {i - j for i, j, _ in ta}
-    grades_b = {i - j for i, j, _ in tb}
+    grades_a = {i - j for i, j in ta}
+    grades_b = {i - j for i, j in tb}
     grades = max(grades_a) + max(grades_b) - min(grades_a) - min(grades_b) + 1
-    top = max(j for _, j, _ in ta) + max(j for _, j, _ in tb) + 1
+    top = max(j for _, j in ta) + max(j for _, j in tb) + 1
     sampled = (1 + bracket) * len(grades_a) * len(grades_b) * top + grades * top * top / 2
     return sampled < _SAMPLED_RATIO * na * nb * (1 + lowering)
 
 
-def _product(ta: list[tuple[int, int, int]], tb: list[tuple[int, int, int]]) -> dict[Monomial, int]:
-    """The integer sums of a*b over integer terms, by the kernel `mul` chooses."""
+def _product(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """The integer sums of a*b over integer numerators, by the kernel `mul` chooses."""
     return _sampled_sums(ta, tb, False) if _sampled_pays(ta, tb, False) else _product_sums(ta, tb)
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product, by the monomial rule or by sampling: the cheaper estimate."""
-    da, ta = _integer_terms(a)
-    db, tb = _integer_terms(b)
+    ta, da = _integer_form(a)
+    tb, db = _integer_form(b)
     return _over(_product(ta, tb), da * db)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a*b - b*a, by the lowering terms i >= 1 or by sampling: the cheaper estimate."""
-    da, ta = _integer_terms(a)
-    db, tb = _integer_terms(b)
+    ta, da = _integer_form(a)
+    tb, db = _integer_form(b)
     sums = _sampled_sums(ta, tb, True) if _sampled_pays(ta, tb, True) else _bracket_sums(ta, tb)
     return _over(sums, da * db)
 

@@ -31,7 +31,7 @@ from functools import cache, cached_property
 from typing import Literal, Sequence
 
 from .core import Monomial, ONE, WeylElement, X, Y, commutator, from_terms, total_degree
-from .core import _factors, _integer_terms, _over, transpose
+from .core import _factors, _integer_form, _over, transpose
 from .centralizer import CentralizerBasis, centralizer_basis, expand_in_basis
 from .errors import (
     BoundEscapeError,
@@ -88,21 +88,20 @@ class DerivationReport:
         return tuple(self.degrees)
 
 
-def _image_coordinates(
-    basis: CentralizerBasis, image: WeylElement
-) -> dict[int, Fraction]:
+def _image_coordinates(pair: DixmierPair, basis: CentralizerBasis, image: WeylElement) -> dict[int, Fraction]:
+    # an image above the bound or outside the span means a non-pair when [q, p] = 1 fails
     degree = total_degree(image)
+    coords = expand_in_basis(basis, image) if degree <= basis.bound else None
+    if coords is not None:
+        return coords
+    if not pair._holds:
+        raise NotDixmierPairError("[q, p] is not 1")
     if degree > basis.bound:
         raise BoundEscapeError(
             f"derivation image has total degree {degree}, above the basis bound "
             f"{basis.bound}; recompute with a bound of at least {degree}"
         )
-    coords = expand_in_basis(basis, image)
-    if coords is None:
-        raise InternalInconsistencyError(
-            "derivation image is not in the computed centralizer span"
-        )
-    return coords
+    raise InternalInconsistencyError("derivation image is not in the computed centralizer span")
 
 
 def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationReport:
@@ -115,7 +114,8 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
     l_p, is p / lc + c, so [q, pick] = 1 / lc, of ray degree 0; and [q, -]
     sends p^k to k p^(k-1), so in characteristic 0 its kernel is the
     constants.  Other bases (built by the constructor, or above the floor,
-    as a counterexample's would be) get one commutator per vector.
+    as a counterexample's would be) get one commutator per vector, and an
+    image outside their span is `NotDixmierPairError` on a non-pair.
     """
     if basis.element != pair.p:
         raise MalformedInputError("basis was not computed for the first element of the pair")
@@ -128,7 +128,7 @@ def derivation_report(pair: DixmierPair, basis: CentralizerBasis) -> DerivationR
     def image(level: int) -> tuple[WeylElement, dict[int, Fraction]]:
         # [q, S] of the basis element S at a level, and its coordinates
         out = ad(pair.q, basis.by_level[level])
-        return out, (_image_coordinates(basis, out) if out else {})
+        return out, (_image_coordinates(pair, basis, out) if out else {})
 
     degrees: dict[int, tuple[int, int]] = {}
     drops: set[int] = set()
@@ -216,6 +216,8 @@ def no_partner_check(p: WeylElement, bound: int) -> bool:
     k[XY] too, which is commutative, so [p, q0] = 0, while [p, q] = -1
     would need it to be -1.
     """
+    if not isinstance(bound, int):
+        raise MalformedInputError(f"bound must be an integer, got {bound!r}")
     if not in_xy_subalgebra(p):
         raise WrongSectorError("no-partner check is defined on polynomials in XY only")
     return True
@@ -289,9 +291,10 @@ def _add_y(p: WeylElement, a: WeylElement) -> WeylElement:
     a term n/d_a X^i Y^j adds n d^(m-i) (dA)^i Y^j over the one denominator
     d_a d^m, with m the largest X exponent of a.
     """
-    da, ta = _integer_terms(a)
-    d, tp = _integer_terms(p)
-    top = max((i for i, _, _ in ta), default=0)
+    ta, da = _integer_form(a)
+    tp, d = _integer_form(p)
+    ys = [(k, e) for (_, k), e in tp.items()]  # the terms e_k Y^k of dp
+    top = max((i for i, _ in ta), default=0)
     powers = [{(0, 0): 1}]
     for _ in range(top):
         step: dict[Monomial, int] = {}
@@ -303,13 +306,13 @@ def _add_y(p: WeylElement, a: WeylElement) -> WeylElement:
             if y:
                 key = (x, y - 1)
                 step[key] = get(key, 0) + y * dc
-            for _, k, e in tp:
+            for k, e in ys:
                 key = (x, y + k)
                 step[key] = get(key, 0) + c * e
         powers.append(step)
     sums: dict[Monomial, int] = {}
     get = sums.get
-    for i, j, n in ta:
+    for (i, j), n in ta.items():
         scale = n * d ** (top - i)
         for (x, y), c in powers[i].items():
             key = (x, y + j)
@@ -323,10 +326,10 @@ def _fourier(a: WeylElement) -> WeylElement:
     X^i Y^j goes to (-1)^j Y^i X^j = (-1)^j sum_k f_k X^(j-k) Y^(i-k), with
     f = _factors(i, j) the normal-ordering row of Y^i X^j.
     """
-    da, ta = _integer_terms(a)
+    ta, da = _integer_form(a)
     sums: dict[Monomial, int] = {}
     get = sums.get
-    for i, j, n in ta:
+    for (i, j), n in ta.items():
         if j & 1:
             n = -n
         for k, f in enumerate(_factors(i, j)):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .core import Coefficient, WeylElement, _integer_terms, _over, mul
+from .core import Coefficient, WeylElement, _integer_form, _over, mul
 from .errors import MalformedInputError, NotHomogeneousError
 from .leading import diag_degree, _require_nonzero
 
@@ -166,8 +166,8 @@ def to_graded_form(h: WeylElement) -> GradedForm:
     _require_nonzero(h, "graded form")
     if not is_homogeneous(h):
         raise NotHomogeneousError("only homogeneous elements factor through XY")
-    d, terms = _integer_terms(h)
-    c = {min(i, j): n for i, j, n in terms}
+    terms, d = _integer_form(h)
+    c = {min(m): n for m, n in terms.items()}
     f: list[int] = []
     for a in range(max(c), -1, -1):
         # f <- f * (Z - a) + c_a

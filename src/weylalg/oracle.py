@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, perm
 
-from .core import WeylElement, _integer_terms
+from .core import Form, WeylElement, _integer_form
 from .graded import XYPolynomial
 
 poly_from_coeffs = XYPolynomial  # an older name, which `bench/checks.py` builds test polynomials by
@@ -35,19 +35,19 @@ def act(a: WeylElement, p: XYPolynomial) -> XYPolynomial:
     the term pair (i, j), n with j <= n adds c_ij v_n n!/(n-j)! at
     x^(n-j+i), and the sums are over d e.
     """
-    return _act(_integer_terms(a), p)
+    return _act(_integer_form(a), p)
 
 
-def _act(form: tuple[int, list[tuple[int, int, int]]], p: XYPolynomial) -> XYPolynomial:
-    # `act` of the element whose integer form (`core._integer_terms`) is `form`
-    d, terms = form
+def _act(form: Form, p: XYPolynomial) -> XYPolynomial:
+    # `act` of the element whose integer form (`core._integer_form`) is `form`
+    terms, d = form
     e = lcm(*(v.denominator for v in p))
     acc: dict[int, int] = {}
     for n, v in enumerate(p):
         if not v:
             continue
         v = v.numerator * (e // v.denominator)
-        for i, j, c in terms:
+        for (i, j), c in terms.items():
             if j <= n:
                 key = n - j + i
                 acc[key] = acc.get(key, 0) + c * v * perm(n, j)
@@ -67,7 +67,7 @@ def oracle_equal(a: WeylElement, b: WeylElement) -> bool:
     Each side's integer form is taken once.
     """
     cut = max(max_y_exponent(a), max_y_exponent(b))
-    fa, fb = _integer_terms(a), _integer_terms(b)
+    fa, fb = _integer_form(a), _integer_form(b)
     return all(_act(fa, x_power(n)) == _act(fb, x_power(n)) for n in range(cut + 1))
 
 
@@ -77,7 +77,7 @@ def oracle_mul_check(a: WeylElement, b: WeylElement) -> bool:
 
     ab = mul(a, b)
     cut = max_y_exponent(a) + max_y_exponent(b)
-    fa, fb, fab = _integer_terms(a), _integer_terms(b), _integer_terms(ab)
+    fa, fb, fab = _integer_form(a), _integer_form(b), _integer_form(ab)
     for n in range(cut + 1):
         p = x_power(n)
         if _act(fab, p) != _act(fa, _act(fb, p)):

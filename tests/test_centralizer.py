@@ -15,8 +15,10 @@ from weylalg import (
     BoundError,
     CentralizerBasis,
     ComponentKind,
+    DixmierPair,
     GradedForm,
     InternalInconsistencyError,
+    MalformedInputError,
     MembershipError,
     NotHomogeneousError,
     ONE,
@@ -28,6 +30,7 @@ from weylalg import (
     Z,
     ZERO,
     centralizer_basis,
+    check_dixmier_pair,
     commutator,
     decompose,
     diag_degree,
@@ -41,6 +44,7 @@ from weylalg import (
     leading_form,
     leading_term,
     mul,
+    no_partner_check,
     power,
     primitive_direction,
     random_script,
@@ -54,7 +58,6 @@ from weylalg import (
 from weylalg.centralizer import (
     _ad_matrix_rows,
     _ad_rows,
-    _integer_form,
     _mirror_side,
     _newton_columns,
     _order_key,
@@ -62,7 +65,7 @@ from weylalg.centralizer import (
     _rref_by_leading,
 )
 from weylalg.cli import _parse_script, basis_to_json, format_element, main, parse_element
-from weylalg.core import _factors, _integer_terms
+from weylalg.core import _factors, _integer_form
 from weylalg.leading import in_xy_subalgebra
 from weylalg.linalg import sparse_kernel
 
@@ -235,6 +238,22 @@ class TestHomogeneousComponent:
         """A homogeneous q is its own side: the solver never asks `_mirror_side`."""
         monkeypatch.setattr(weylalg.centralizer, "_mirror_side", mock.Mock(side_effect=AssertionError))
         assert homogeneous_centralizer_component(p, grade).kind is ComponentKind.LINE
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, Fraction(2), "2", None])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda bound: centralizer_basis(X, bound),
+        lambda bound: check_dixmier_pair(DixmierPair(X, Y), bound),
+        lambda grade: homogeneous_centralizer_component(H, grade),
+        lambda bound: no_partner_check(XY, bound),
+    ],
+    ids=["centralizer_basis", "check_dixmier_pair", "homogeneous_component", "no_partner_check"],
+)
+def test_bound_or_grade_that_is_not_an_integer_is_malformed(solve, value):
+    with pytest.raises(MalformedInputError, match="must be an integer"):
+        solve(value)
 
 
 class TestCentralizerBasis:
@@ -460,10 +479,10 @@ class TestPackingLemma:
     def test_digits_within_bound_and_zero_exactly_when_all_commute(self, case):
         p, elems = case
         packed, bound = _packed(p, [_integer_form(e)[0] for e in elems])
-        d_p, _ = _integer_terms(p)
+        _, d_p = _integer_form(p)
         brackets = [commutator(p, e) for e in elems]
         for e, bracket in zip(elems, brackets):
-            scale = d_p * _integer_terms(e)[0]
+            scale = d_p * _integer_form(e)[1]
             assert all(abs(c * scale) <= bound for c in bracket.terms.values())
         assert (commutator(p, packed) == ZERO) == all(b == ZERO for b in brackets)
 
@@ -475,10 +494,10 @@ def ad_rows_by_columns(p, columns):
     p against every column, over the lowering terms i >= 1.  A target whose
     contributions all cancel keeps an empty row here.
     """
-    _, p_terms = _integer_terms(p)
+    p_terms, _ = _integer_form(p)
     by_target = {}
     for idx, (a, b) in enumerate(columns):
-        for k, j, c in p_terms:
+        for (k, j), c in p_terms.items():
             pq, qp = _factors(j, a), _factors(b, k)
             npq, nqp = len(pq), len(qp)
             for i in range(1, max(npq, nqp)):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +23,11 @@ from weylalg import (
     total_degree,
     transpose,
 )
-from weylalg.centralizer import _integer_form, _packed
+from weylalg.centralizer import _combination, _lowest, _packed
 from weylalg.cli import _parse_script, main, parse_element
 from weylalg.core import (
     _bracket_sums,
-    _integer_terms,
+    _integer_form,
     _over,
     _product_sums,
     _read_back,
@@ -40,10 +41,10 @@ from conftest import weyl_elements
 
 
 def _on_elements(sums):
-    """A kernel over integer terms, as a map of two elements."""
+    """A kernel over integer numerators, as a map of two elements."""
 
     def kernel(a, b, *flag):
-        (da, ta), (db, tb) = _integer_terms(a), _integer_terms(b)
+        (ta, da), (tb, db) = _integer_form(a), _integer_form(b)
         return _over(sums(ta, tb, *flag), da * db)
 
     return kernel
@@ -55,8 +56,8 @@ _commutator_direct = _on_elements(_bracket_sums)
 
 
 def pays(a, b, bracket):
-    """`_sampled_pays` on the integer terms of two elements."""
-    return _sampled_pays(_integer_terms(a)[1], _integer_terms(b)[1], bracket)
+    """`_sampled_pays` on the integer numerators of two elements."""
+    return _sampled_pays(_integer_form(a)[0], _integer_form(b)[0], bracket)
 
 
 class TestFromTerms:
@@ -274,14 +275,43 @@ def test_action_is_additive(a, b, n):
     assert act(add(a, b), p) == act(a, p) + act(b, p)
 
 
-_integer_operands = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-9, 9).filter(bool)), max_size=5
+@settings(max_examples=100, deadline=None)
+@given(weyl_elements())
+def test_integer_form_is_canonical_and_over_inverts_it(a):
+    terms, d = _integer_form(a)
+    assert _over(terms, d) == a
+    assert d > 0 and gcd(d, *terms.values()) == 1
+    assert all(terms.values())
+    terms[(99, 99)] = 1  # a fresh dict: the caller's edit does not reach the element
+    assert _integer_form(a)[0] == {m: v for m, v in terms.items() if m != (99, 99)}
+
+
+class TestLowestAndCombination:
+    def test_negative_denominator_moves_its_sign_to_the_numerators(self):
+        assert _lowest({(1, 0): 4, (0, 1): -6, (2, 2): 0}, -10) == ({(1, 0): -2, (0, 1): 3}, 5)
+
+    def test_empty_accumulator(self):
+        assert _lowest({}, -6) == ({}, 1)
+
+    def test_combination_over_the_lcm(self):
+        # 2 (X / 4) - 3 (X + Y) / 6 = -1/2 Y
+        assert _combination([(2, {(1, 0): 1}, 4), (-3, {(1, 0): 1, (0, 1): 1}, 6)]) == (
+            {(1, 0): 0, (0, 1): -6},
+            12,
+        )
+
+    def test_combination_of_no_parts(self):
+        assert _combination([]) == ({}, 1)
+
+
+_integer_operands = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-9, 9).filter(bool), max_size=5
 )
 
 
 @st.composite
 def bracket_operands(draw):
-    """(ta, tb) over integer terms, tb a single X^l, a single Y^m or general.
+    """(ta, tb) over integer numerators, tb a single X^l, a single Y^m or general.
 
     The single powers make every term pair one-sided: one row of lowering
     factors is (1,).
@@ -290,7 +320,7 @@ def bracket_operands(draw):
     if case == "general":
         return draw(_integer_operands), draw(_integer_operands)
     e, n = draw(st.integers(0, 6)), draw(st.integers(-9, 9).filter(bool))
-    return draw(_integer_operands), [(e, 0, n) if case == "X^l" else (0, e, n)]
+    return draw(_integer_operands), {(e, 0) if case == "X^l" else (0, e): n}
 
 
 def _nonzero(sums):
@@ -299,8 +329,8 @@ def _nonzero(sums):
 
 @settings(max_examples=150, deadline=None)
 @given(bracket_operands())
-@example(([(2, 3, 1), (0, 0, 4)], [(3, 0, -2)]))
-@example(([(2, 3, 1), (5, 1, 4)], [(0, 4, 3)]))
+@example(({(2, 3): 1, (0, 0): 4}, {(3, 0): -2}))
+@example(({(2, 3): 1, (5, 1): 4}, {(0, 4): 3}))
 def test_bracket_sums_is_the_difference_of_the_products(operands):
     ta, tb = operands
     for a, b in ((ta, tb), (tb, ta)):

@@ -215,6 +215,19 @@ class TestDerivationReport:
         with pytest.raises(InternalInconsistencyError):
             derivation_report(pair, basis)
 
+    @pytest.mark.parametrize("copy", [False, True], ids=["solver", "constructor-copy"])
+    @pytest.mark.parametrize(
+        "p, q, bound",
+        [(parse_element("(Y^2 + X^3 + 1)^2 + 2*X"), Y, 18), (P_SHIFTED, X, 6), (X, power(Y, 5), 3)],
+        ids=["L-Y", "shifted-X", "X-Y5-above-the-bound"],
+    )
+    def test_non_pair_image_outside_span_is_not_a_pair(self, p, q, bound, copy):
+        """A caller's non-pair is its own error, not an internal fault or a
+        bound to raise, on any basis."""
+        basis = centralizer_basis(p, bound)
+        with pytest.raises(NotDixmierPairError):
+            derivation_report(DixmierPair(p, q), unmarked(basis) if copy else basis)
+
     def test_wrong_basis_rejected(self):
         pair = DixmierPair(X, Y)
         basis = centralizer_basis(P_SHIFTED, 6)
