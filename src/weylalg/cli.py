@@ -15,6 +15,11 @@ nonnegative integer literals.  A natural is a string of ASCII digits, at
 most as long as Python's integer-string limit (`sys.get_int_max_str_digits`,
 4300 by default); a longer one is a contract error.
 
+A `gen-pair` script is a list of steps separated by ';': `addY:poly`,
+`addX:poly` or `fourier`, with whitespace free around each.  Empty steps
+are skipped, and `ElementaryAutomorphism` validates each step, so a
+malformed one is a contract error: `addY:Y^2;;fourier;` is two steps.
+
 On the command line an expression that starts with '-' must follow '--',
 which ends the options: `weylalg normalize -- -X+Y`.  Otherwise argparse
 reads it as an option and the call is a usage error.
@@ -54,14 +59,19 @@ the coefficient limit.
 
 Exit codes: 0 success, 1 when the computation reports false or empty,
 2 for usage, syntax, or contract errors, 3 for an internal inconsistency
-(a guaranteed identity failed, which is always a bug).  `main` returns the
-code and raises nothing, argparse usage errors included.
+(a guaranteed identity failed, which is always a bug).  A reader that
+closes standard output before the command has written it all, as
+`weylalg pow "X+Y+1" 60 | head -c 10` does, gets exit code 2 and one
+error line.  `main` returns the code and raises nothing, argparse usage
+errors included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,55 +170,24 @@ class _Token:
     column: int
 
 
-_DIGITS = "0123456789"
+# one token, or one character for which `str.isspace` is true, which is skipped
+_SCANNER = re.compile(r"(?P<NUMBER>[0-9]+)|(?P<NAME>[XY])|(?P<OP>[-+*^()/])|\s")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`, each at its line and column; only '\\n' ends a line."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < len(text) and text[i] in _DIGITS:
-                i += 1
-            tokens.append(_Token("NUMBER", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in "XY":
-            tokens.append(_Token("NAME", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    for line, row in enumerate(text.split("\n"), 1):
+        pos = 0
+        while pos < len(row):
+            match = _SCANNER.match(row, pos)
+            if match is None:
+                raise ExprSyntaxError(f"unexpected character {row[pos]!r}", line, pos + 1)
+            if match.lastgroup:
+                tokens.append(_Token(match.lastgroup, match.group(), line, pos + 1))
+            pos = match.end()
+    tokens.append(_Token("EOF", "", line, len(row) + 1))
     return tokens
-
-
-def _number(tok: _Token) -> int:
-    """The value of a NUMBER token, within Python's integer-string limit."""
-    limit = sys.get_int_max_str_digits()
-    if limit and len(tok.text) > limit:
-        raise MalformedInputError(
-            f"number of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
-            f"exceeds the limit of {limit} digits"
-        )
-    return int(tok.text)
 
 
 class _Parser:
@@ -220,16 +199,29 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def accept(self, ops: str) -> _Token | None:
+        """The next token, consumed, when it is one of the operators `ops`."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        # the EOF token's text is "", which is in every string
+        if tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
 
-    def expect_op(self, op: str) -> _Token:
+    def natural(self, expected: str) -> tuple[_Token, int]:
+        """The next token, consumed, and its value.  It must be a NUMBER, else
+        a syntax error says `expected`, within Python's integer-string limit."""
         tok = self.peek()
-        if tok.kind != "OP" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.line, tok.column)
-        return self.take()
+        if tok.kind != "NUMBER":
+            raise ExprSyntaxError(expected, tok.line, tok.column)
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok.text) > limit:
+            raise MalformedInputError(
+                f"number of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
+                f"exceeds the limit of {limit} digits"
+            )
+        self.pos += 1
+        return tok, int(tok.text)
 
     def parse(self) -> WeylElement:
         value = self.expr()
@@ -240,24 +232,16 @@ class _Parser:
 
     def expr(self) -> WeylElement:
         value = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.take()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+        while tok := self.accept("+-"):
+            rhs = self.term()
+            value = value + rhs if tok.text == "+" else value - rhs
+        return value
 
     def term(self) -> WeylElement:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.take()
-                value = _product(value, self.factor())
-            else:
-                return value
+        while self.accept("*"):
+            value = _product(value, self.factor())
+        return value
 
     def factor(self) -> WeylElement:
         # unary minus and parentheses recurse: stop well before Python's own limit
@@ -273,55 +257,38 @@ class _Parser:
             self.depth -= 1
 
     def _factor(self) -> WeylElement:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.take()
+        if self.accept("-"):
             return -self.factor()
-        if tok.kind == "NUMBER":
-            self.take()
-            num = _number(tok)
-            if self.peek().kind == "OP" and self.peek().text == "/":
-                self.take()
-                den_tok = self.peek()
-                if den_tok.kind != "NUMBER":
-                    raise ExprSyntaxError("expected a denominator", den_tok.line, den_tok.column)
-                self.take()
-                den = _number(den_tok)
-                if den == 0:
-                    raise MalformedInputError(
-                        f"zero denominator at line {den_tok.line}, column {den_tok.column}"
-                    )
-                return WeylElement([(0, 0, Fraction(num, den))])
-            return WeylElement([(0, 0, num)])
-        if tok.kind == "NAME":
-            self.take()
-            base = X if tok.text == "X" else Y
-            return _power(base, self.exponent())
-        if tok.kind == "OP" and tok.text == "(":
-            self.take()
+        if self.accept("("):
             value = self.expr()
-            self.expect_op(")")
+            if not self.accept(")"):
+                tok = self.peek()
+                raise ExprSyntaxError("expected ')'", tok.line, tok.column)
             return _power(value, self.exponent())
-        raise ExprSyntaxError(
-            f"expected a rational, X, Y, or parenthesis, got {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
+        tok = self.peek()
+        if tok.kind == "NAME":
+            self.pos += 1
+            return _power(X if tok.text == "X" else Y, self.exponent())
+        _, num = self.natural(
+            f"expected a rational, X, Y, or parenthesis, got {tok.text or 'end of input'!r}"
         )
+        if not self.accept("/"):
+            return WeylElement([(0, 0, num)])
+        den_tok, den = self.natural("expected a denominator")
+        if den == 0:
+            raise MalformedInputError(
+                f"zero denominator at line {den_tok.line}, column {den_tok.column}"
+            )
+        return WeylElement([(0, 0, Fraction(num, den))])
 
     def exponent(self) -> int:
-        tok = self.peek()
-        if not (tok.kind == "OP" and tok.text == "^"):
+        if not self.accept("^"):
             return 1
-        self.take()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        if tok := self.accept("-"):
             raise MalformedInputError(
                 f"negative exponent at line {tok.line}, column {tok.column}"
             )
-        if tok.kind != "NUMBER":
-            raise ExprSyntaxError("expected a nonnegative integer exponent", tok.line, tok.column)
-        self.take()
-        return _number(tok)
+        return self.natural("expected a nonnegative integer exponent")[1]
 
 
 def parse_element(text: str) -> WeylElement:
@@ -345,62 +312,48 @@ def _number_text(c: Fraction) -> str:
         raise SizeLimitError("a coefficient of the result is too long to print") from None
 
 
-def _term_body(i: int, j: int, c: Fraction) -> str:
+def _term_body(i: int, j: int, c: Fraction, x: str = "X") -> str:
+    """c x^i Y^j for c > 0, with a unit coefficient and zero exponents elided."""
     parts = []
     if c != 1 or (i == 0 and j == 0):
         parts.append(_number_text(c))
     if i:
-        parts.append("X" if i == 1 else f"X^{i}")
+        parts.append(x if i == 1 else f"{x}^{i}")
     if j:
         parts.append("Y" if j == 1 else f"Y^{j}")
     return "*".join(parts)
 
 
+def _signed_sum(terms) -> str:
+    """Join (c, text of |c|'s term) pairs with their signs; 0 for none."""
+    pieces = []
+    for c, body in terms:
+        if pieces:
+            pieces.append(" + " if c > 0 else " - ")
+        elif c < 0:
+            pieces.append("-")
+        pieces.append(body)
+    return "".join(pieces) if pieces else "0"
+
+
 def format_element(a: WeylElement) -> str:
     """Canonical text form; parsing it reproduces the element exactly."""
-    if not a:
-        return "0"
-    pieces = []
-    for m in _print_order(a.terms):
-        c = a.terms[m]
-        body = _term_body(m[0], m[1], abs(c))
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+    terms = a.terms
+    return _signed_sum((terms[m], _term_body(m[0], m[1], abs(terms[m]))) for m in _print_order(terms))
 
 
 def format_xy_polynomial(f: XYPolynomial) -> str:
-    if not f:
-        return "0"
-    pieces = []
-    for m in range(f.degree, -1, -1):
-        c = f.coefficient(m)
-        if not c:
-            continue
-        parts = []
-        if abs(c) != 1 or m == 0:
-            parts.append(_number_text(abs(c)))
-        if m:
-            parts.append("Z" if m == 1 else f"Z^{m}")
-        body = "*".join(parts)
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+    """Canonical text form in Z = X*Y, highest power first."""
+    return _signed_sum((c, _term_body(m, 0, abs(c), "Z")) for m, c in reversed(list(enumerate(f))) if c)
 
 
 def format_graded_form(g: GradedForm) -> str:
     """Render X^j * (f) for grade j >= 0, and (f) * Y^(-j) for j < 0."""
     body = f"({format_xy_polynomial(g.poly)})"
     if g.grade > 0:
-        head = "X" if g.grade == 1 else f"X^{g.grade}"
-        return f"{head} * {body}"
+        return f"{_term_body(g.grade, 0, 1)} * {body}"
     if g.grade < 0:
-        tail = "Y" if g.grade == -1 else f"Y^{-g.grade}"
-        return f"{body} * {tail}"
+        return f"{body} * {_term_body(0, -g.grade, 1)}"
     return body
 
 
@@ -604,21 +557,12 @@ def _cmd_check_dixmier(args) -> int:
 
 
 def _parse_script(text: str) -> list[ElementaryAutomorphism]:
+    """The steps of a script, each checked by `ElementaryAutomorphism`."""
     steps = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk == "fourier":
-            steps.append(ElementaryAutomorphism("fourier"))
-            continue
-        if ":" not in chunk:
-            raise MalformedInputError(f"bad script step {chunk!r}: expected kind:polynomial")
-        kind, poly_text = chunk.split(":", 1)
-        kind = kind.strip()
-        if kind not in ("addY", "addX"):
-            raise MalformedInputError(f"unknown script step kind {kind!r}")
-        steps.append(ElementaryAutomorphism(kind, parse_element(poly_text)))
+        if chunk.strip():
+            kind, colon, poly = chunk.partition(":")
+            steps.append(ElementaryAutomorphism(kind.strip(), parse_element(poly) if colon else None))
     return steps
 
 
@@ -736,7 +680,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 for a usage error
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to os.devnull, so that the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed early", file=sys.stderr)
+        return 2
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -33,7 +33,9 @@ from weylalg.cli import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    _SCANNER,
     _parse_script,
+    _tokenize,
     element_to_json,
     format_element,
     format_graded_form,
@@ -41,7 +43,7 @@ from weylalg.cli import (
     main,
     parse_element,
 )
-from weylalg.graded import GradedForm, XYPolynomial, Z
+from weylalg.graded import GradedForm, XYPolynomial, Z, evaluate_at_element
 
 from conftest import random_element, weyl_elements
 
@@ -100,6 +102,54 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse_element("2 X")
 
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("X\n+ z", 2, 3, "unexpected character 'z'"),
+            ("X +\r\n* Y", 2, 1, "got '*'"),
+            ("X\r\n+ z", 2, 3, "unexpected character 'z'"),
+            ("X +\tz", 1, 5, "unexpected character 'z'"),
+            ("X +\u2028z", 1, 5, "unexpected character 'z'"),
+            ("X\t\u00a0\u2028+ * Y", 1, 7, "got '*'"),
+            ("X +", 1, 4, "got 'end of input'"),
+            ("X +\n", 2, 1, "got 'end of input'"),
+            ("(X", 1, 3, "expected ')'"),
+            ("X\n  ^\u00b2", 2, 4, "unexpected character '\u00b2'"),
+        ],
+        ids=["second line", "crlf", "crlf char", "tab", "u2028", "spaces", "eof", "eof line 2",
+             "unclosed", "superscript"],
+    )
+    def test_error_position(self, text, line, column, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_element(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value).endswith(message)
+
+
+_TOKEN_TEXT = st.text(alphabet="XY0123456789+-*/^() \t\r\n\u00a0\u2028\x0b\x1c", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN_TEXT)
+def test_tokens_sit_at_their_positions(text):
+    """Each token's text starts at its (line, column), with only '\\n'
+    ending a line, and the tokens spell the input without its whitespace."""
+    *tokens, eof = _tokenize(text)
+    rows = text.split("\n")
+    for tok in tokens:
+        assert rows[tok.line - 1][tok.column - 1:].startswith(tok.text)
+    assert "".join(tok.text for tok in tokens) == "".join(ch for ch in text if not ch.isspace())
+    assert (eof.kind, eof.text, eof.line, eof.column) == ("EOF", "", len(rows), len(rows[-1]) + 1)
+
+
+def test_scanner_skips_exactly_the_whitespace():
+    """Over every code point, the scanner's pattern skips a character
+    exactly when str.isspace() is true; any other is a token or an error."""
+    every = "".join(map(chr, range(0x110000)))
+    skipped = "".join(m.group() for m in _SCANNER.finditer(every) if m.lastgroup is None)
+    assert skipped == "".join(ch for ch in every if ch.isspace())
+    assert [tok.kind for tok in _tokenize(skipped)] == ["EOF"]
+
 
 class TestFormat:
     def test_xy_plus_one(self):
@@ -118,6 +168,13 @@ class TestFormat:
         assert format_xy_polynomial(Z * Z - Z) == "Z^2 - Z"
         assert format_xy_polynomial(XYPolynomial()) == "0"
         assert format_xy_polynomial(XYPolynomial([Fraction(-1, 2), 0, 3])) == "3*Z^2 - 1/2"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7), max_size=7))
+    def test_xy_polynomial_roundtrip(self, coeffs):
+        f = XYPolynomial(coeffs)
+        text = format_xy_polynomial(f).replace("Z", "(X*Y)")
+        assert parse_element(text) == evaluate_at_element(f, mul(X, Y))
 
     def test_graded_form_sides(self):
         assert format_graded_form(GradedForm(2, Z + 1)) == "X^2 * (Z + 1)"
@@ -303,6 +360,11 @@ class TestSubcommands:
         assert code == 0
         assert out == "P = Y\nQ = -X\n"
 
+    def test_gen_pair_skips_empty_steps(self, capsys):
+        code, out, _ = run_cli(["gen-pair", "--script", "addY:Y^2;;fourier;"], capsys)
+        assert code == 0
+        assert out == "P = X^2 + Y\nQ = -X\n"
+
     def test_oracle_check(self, capsys):
         code, out, _ = run_cli(["oracle-check", "Y*X", "X*Y + 1"], capsys)
         assert code == 0
@@ -349,6 +411,20 @@ class TestExitCodes:
         assert code == 2
         assert "syntax error" in err
 
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("fourier:X", "fourier takes no polynomial"),
+            ("addY", "addY requires a polynomial in Y alone"),
+            ("foo:X", "unknown automorphism kind 'foo'"),
+            ("addX Y", "unknown automorphism kind 'addX Y'"),
+        ],
+    )
+    def test_malformed_script_step_is_two(self, capsys, script, message):
+        with pytest.raises(MalformedInputError, match=message):
+            _parse_script(script)
+        assert run_cli(["gen-pair", "--script", script], capsys) == (2, "", f"error: {message}\n")
+
     def test_leading_minus_after_double_dash(self, capsys):
         # without "--" argparse reads "-X+Y" as an option
         assert run_cli(["normalize", "-X+Y"], capsys)[0] == 2
@@ -367,12 +443,15 @@ def test_golden_output(case, capsys):
     assert (code, out) == (case["exit"], case["stdout"])
 
 
+# the environment of a `python -m` run that imports this package
+_SRC = str(Path(weylalg.__file__).parents[1])
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def _python_dash_m(*argv: str) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `python -m argv...` on this package."""
-    src = str(Path(weylalg.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=_ENV, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -387,6 +466,23 @@ def test_python_dash_m_cli_module():
     does not import `weylalg.cli`, so runpy does not warn that it is loaded
     twice."""
     assert _python_dash_m("weylalg.cli", "mul", "X", "Y") == (0, "X*Y\n", "")
+
+
+def test_stdout_closed_early_exits_two_without_traceback():
+    """A reader that leaves after 10 bytes of the 356 KB line of
+    `pow "X+Y+1" 100`, far past the pipe buffer, as `head -c 10` does."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylalg", "pow", "X+Y+1", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert head == b"X^100 + 10"
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1
 
 
 # sha256 of `centralizer --json` stdout at the scale the solver targets,
