@@ -404,19 +404,21 @@ def _ad_rows(p: WeylElement, columns: list[Monomial]) -> Iterator[tuple[dict[int
         by_diagonal.setdefault(a - b, []).append((idx, a, b))
     if not (pieces and by_diagonal):
         return
-    # d -> a -> [P_d, X^a] and d -> b -> [P_d, Y^b], each as its nonzero terms (x, value);
-    # by ascending d, the columns of a row come in by index
-    shifts = [(d, pieces[d], {}, {}) for d in sorted(pieces)]
+    # d -> a -> [P_d, X^a] and d -> b -> [P_d, Y^b], each as its nonzero terms (x, value), formed
+    # only when a > 0 and P_d has a Y, or b > 0 and it has an X; by ascending d, columns come in by index
+    shifts = [(d, t, {}, {}, any(j for _, j in t), any(i for i, _ in t)) for d, t in sorted(pieces.items())]
     for g in range(max(by_diagonal) + max(pieces), min(by_diagonal) + min(pieces) - 1, -1):
         rows: dict[int, dict[int, int]] = {}  # X exponent -> row
-        for d, terms, with_x, with_y in shifts:
+        for d, terms, with_x, with_y, has_y, has_x in shifts:
             for idx, a, b in by_diagonal.get(g - d, ()):
                 xs = with_x.get(a)
                 if xs is None:
-                    xs = with_x[a] = [(x, v) for (x, _), v in _bracket_sums(terms, {(a, 0): 1}).items() if v]
+                    brackets = _bracket_sums(terms, {(a, 0): 1}) if a and has_y else {}
+                    xs = with_x[a] = [(x, v) for (x, _), v in brackets.items() if v]
                 ys = with_y.get(b)
                 if ys is None:
-                    ys = with_y[b] = [(x, v) for (x, _), v in _bracket_sums(terms, {(0, b): 1}).items() if v]
+                    brackets = _bracket_sums(terms, {(0, b): 1}) if b and has_x else {}
+                    ys = with_y[b] = [(x, v) for (x, _), v in brackets.items() if v]
                 # [P_d, X^a] Y^b keeps the X exponent; X^a [P_d, Y^b] raises it by a
                 for x, v in xs:
                     row = rows.get(x)

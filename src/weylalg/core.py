@@ -46,16 +46,36 @@ polynomial in n with Delta^j w_g(0) = j! a_(j+g, j).  Products compose:
 
     (ab)_g(n) = sum_h a_(g-h)(n + h) b_h(n),
 
-and b_h(n) = 0 for n < -h.  w_g of the result has degree at most
-max(deg a_k + deg b_h) over k + h = g, so that many samples plus one fix
-it.  The tables of a_k and b_h are summed up from their forward differences
-(Newton's forward formula: additions only), the samples are multiplied and
-summed per grade (for the commutator, ab - ba in one pass), and the result
-is read back once: the coefficient of X^(j+g) Y^j is Delta^j w_g(0) / j!.
-That division is exact, so a remainder, or a nonzero value for j + g < 0,
-raises InternalInconsistencyError.  The integers and the denominators are
-those of the normal-ordering kernels.  On dense operands of degree D this
-costs O(D^3) against O(D^5) for the monomial rule.
+and b_h(n) = 0 for 0 <= n < -h.  w_g of the result has degree below
+size[g], the most deg a_k + deg b_h + 1 over k + h = g, so the samples
+n < N = max size[g] fix it.  One integer per sample carries every grade:
+with t the gcd of the grade differences of both operands (Q of the
+degree-81 gen-pair has t = 4), k0 and h0 their lowest grades, s-bit digits,
+
+    A(m) = sum_k a_k(m) 2^(s (k-k0)/t),   S(n) = sum_h b_h(n) A(n+h) 2^(s (h-h0)/t),
+
+digit p of S(n) is (ab)_g(n) at g = k0 + h0 + t p; the commutator
+subtracts a_k(n) B(n + k) 2^(s (k - k0) / t) in the same pass.  A and B
+come from their packed forward differences by Newton's forward formula,
+the scalars b_h(n) and a_k(n) are digits of B(n) and A(n), and digit p of
+Delta^j S(0) is j! times the coefficient of X^(j+g) Y^j; a remainder, or
+a nonzero digit at j + g < 0 or j >= size[g], raises
+InternalInconsistencyError.  Each product is a scalar times one packed
+row, linear in the row, unlike the Kronecker products of two packed
+polynomials in ROADMAP's *Not pursued*.  Digits are balanced, in
+[-2^(s-1), 2^(s-1)), hence unique, and adding 2^(s-1) to each makes them
+the bytes of a nonnegative integer (`_unpack`).  The width: by Newton's
+formula w(m) = sum_i C(m, i) Delta^i w(0), |a_k(m)| <= M_a = max_k sum_i
+C(W_a - 1, i) |Delta^i a_k(0)| for m < W_a, the number of values A(m)
+read; likewise M_b.  A digit of S(n) sums at most (1 + bracket)
+min(G_a, G_b) products a_k b_h, G the numbers of grades, and one of
+Delta^j S(0) = sum_i (-1)^(j-i) C(j, i) S(i) is at most 2^j times the
+largest, j < N.  So 2^(s-1) > 2^(N-1) (1 + bracket) min(G_a, G_b) M_a M_b
+(> M_a, M_b) recovers every digit read.  Each digit is as wide as the
+widest: dense products above degree about 28 lose to one value list per
+grade (squaring (X+Y+1)^50 takes about twice as long); the benchmark forms
+none.  Dense operands of degree D cost O(D^2) products of a scalar and a
+row of O(D) digits, against O(D^5) for the monomial rule.
 
 `mul` and `commutator` choose a kernel per call; `_product` makes the
 choice of `mul` for operands already in integer form, and the centralizer
@@ -67,24 +87,17 @@ exponent of the left factor and the mean X exponent of the right one (for
 the commutator the larger of the two orders), and sampling at
 (1 or 2) |grades a| |grades b| (M + 1) + G (M + 1)^2 / 2, with M the sum
 of the largest Y exponents and G the number of grades of the result.
-Sampling runs when its estimate is below 2.0 times the other.  The ratio
-was calibrated on 61 operand pairs of 1000 term pairs or more: every such
-call in one round of the benchmark's three workloads, dense powers of
-linear and quadratic elements, and random sparse elements with up to 150
-terms.  Below an estimate ratio of 1.5, sampling was faster on all 11
-pairs, by 1.1 to 14 times; between 1.5 and 4 it was faster on 18 of 25,
-by at most 2.2 times, and up to 1.4 times slower on the rest; above 4 it
-was slower on 20 of 25.  At 2.0 the centralizer's packed re-verification,
-one call of L against its packed basis at bounds 36 to 60, stays on the
-monomial rule; a basis at the floor of the powers of P, such as that of
-X + (Y + X^2)^3, makes no such call.  Process times (CPython 3.11, one
-core of a shared virtual machine):
+Sampling runs when its estimate is below 2.0 times the other.  That is
+the cost of one value list per grade, calibrated on 61 operand pairs; it
+stays, so every call keeps its kernel (ROADMAP item 6 recalibrates it).
+Process times, five runs each (CPython 3.11, one core of a shared VM);
+sampled, the 1034-bit coefficients of L's packed basis need 1144-bit digits:
 
     operands (terms)                              monomial, s    sampled, s
-    [Q, P] of the degree-54 gen-pair (67 x 679)   0.14-0.21      0.020-0.029
-    (X+Y+1)^14 (X-2Y+3)^14 (120 x 120)            0.026-0.041    0.008-0.011
-    [(X+Y+1)^20, (X-2Y+3)^20] (231 x 231)         0.23-0.31      0.018-0.034
-    [L, packed basis] at bound 36 (8 x 359)       0.0091-0.0095  0.0092
+    [Q, P] of the degree-54 gen-pair (67 x 679)   0.087-0.095    0.0093-0.0098
+    (X+Y+1)^14 (X-2Y+3)^14 (120 x 120)            0.017-0.019    0.0022-0.0024
+    [(X+Y+1)^20, (X-2Y+3)^20] (231 x 231)         0.13-0.15      0.011
+    [L, packed basis] at bound 36 (8 x 359)       0.0034-0.0036  0.021-0.022
 
 The monomial rule stays: it is also the bracket rule of the centralizer's
 matrix assembly, it is cheaper on small and lopsided operands, and the
@@ -104,8 +117,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
-from operator import add as add_int, mul as mul_int, sub as sub_int
+from itertools import repeat
+from math import comb, factorial, gcd, lcm
+from operator import add as add_int, lshift, mul as mul_int, sub as sub_int
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -326,64 +340,88 @@ def _differences(terms: Mapping[Monomial, int]) -> dict[int, list[int]]:
     return {g: [row.get(j, 0) for j in range(max(row) + 1)] for g, row in diffs.items()}
 
 
-def _values(d: list[int], width: int) -> list[int]:
-    # Newton's forward formula, summed up with additions only: w(0), ..., w(width - 1)
-    values = []
-    for _ in range(width):
-        values.append(d[0])
-        d = [*map(add_int, d, d[1:]), d[-1]]
-    return values
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The `count` balanced digits of `value` in base 2^width, lowest first; they must express it."""
+    size, half = width // 8, 1 << width - 1
+    value += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")  # half in every digit
+    if value < 0 or value >> width * count:
+        raise InternalInconsistencyError("sampled product: a digit is out of its range")
+    raw = value.to_bytes(size * count, "little")
+    return [int.from_bytes(raw[p : p + size], "little") - half for p in range(0, size * count, size)]
 
 
-def _read_back(samples: dict[int, list[int]]) -> dict[Monomial, int]:
-    """{(j + g, j): Delta^j w_g(0) / j!} from the samples w_g(0), w_g(1), ... of each g.
-
-    The division must be exact and nothing may land on a negative exponent;
-    anything else means the samples are wrong.
-    """
+def _read_back(samples: list[int], step: int, width: int, size: dict[int, int]) -> dict[Monomial, int]:
+    """{(j + g, j): Delta^j w_g(0) / j!} from digit p of Delta^j S(0), g = min(size) + step p, checked."""
+    low, top = min(size), [-1] * len(samples)  # j -> the last digit with size[g] > j
+    for g in sorted(size):
+        top[: size[g]] = [(g - low) // step] * size[g]
     sums: dict[Monomial, int] = {}
-    for g, values in samples.items():
-        fact = 1
-        for j in range(len(values)):
-            if j:
-                fact *= j
-                values = [*map(sub_int, values[1:], values[:-1])]
-            q, r = divmod(values[0], fact)
-            if r or (q and j + g < 0):
-                raise InternalInconsistencyError(
-                    f"sampled product: Delta^{j} w_{g}(0) is not {j}! times a coefficient"
-                )
-            if q:
+    fact = 1
+    for j in range(len(samples)):
+        if j:
+            fact *= j
+            samples = [*map(sub_int, samples[1:], samples[:-1])]
+        first = max(0, -((j + low) // step))  # the first digit with g >= -j
+        if samples[0] & (1 << width * first) - 1:
+            raise InternalInconsistencyError(f"sampled product: Delta^{j} lands on a negative exponent")
+        # the digits from the first to the last that may be nonzero; _unpack checks that none is above
+        digits = _unpack(samples[0] >> width * first, width, max(top[j] + 1 - first, 0))
+        for p, digit in enumerate(digits, first):
+            if digit:
+                g = low + step * p
+                q, r = divmod(digit, fact)
+                if r or j >= size.get(g, 0):
+                    raise InternalInconsistencyError(
+                        f"sampled product: Delta^{j} w_{g}(0) is not {j}! times a coefficient"
+                    )
                 sums[(j + g, j)] = q
     return sums
 
 
 def _sampled_sums(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int], bracket: bool) -> dict[Monomial, int]:
-    """a*b, or [a, b] when `bracket`, over integer numerators, through the action on x^0, x^1, ..."""
+    """a*b, or [a, b] when `bracket`, over integer numerators, from packed samples of the action on x^n."""
     if not (ta and tb):
         return {}
     fa, fb = _differences(ta), _differences(tb)
-    # the result's w_g has degree below size[g], the most deg a_k + deg b_h + 1 over k + h = g
     size: dict[int, int] = {}
     for k, dk in fa.items():
         for h, dh in fb.items():
             size[k + h] = max(size.get(k + h, 0), len(dk) + len(dh) - 1)
-    va = {k: _values(d, max(size[k + h] + max(h, 0) for h in fb)) for k, d in fa.items()}
-    vb = {h: _values(d, max(size[k + h] + max(k, 0) for k in fa)) for h, d in fb.items()}
-    samples = {g: [0] * m for g, m in size.items()}
+    n = max(size.values())
+    step = gcd(*(k - min(fa) for k in fa), *(h - min(fb) for h in fb)) or 1
 
-    def compose(left, right, op):
-        # (left right)_g(n) = sum_h left_(g-h)(n + h) right_h(n); 0 for n < -h or n < -g
-        for h, rv in right.items():
-            for k, lv in left.items():
-                s = samples[k + h]
-                m, n0 = len(s), max(0, -h, -k - h)
-                s[n0:] = map(op, s[n0:], map(mul_int, lv[n0 + h : m + h], rv[n0:m]))
+    def most(diffs, count):  # M_a or M_b of the module docstring; no row is longer than count
+        row = [comb(count - 1, i) for i in range(count)]
+        return max(sum(map(mul_int, map(abs, d), row)) for d in diffs.values())
 
-    compose(va, vb, add_int)
+    wa, wb = n + max(max(fb), 0), n + max(max(fa), 0) if bracket else n
+    bound = (1 + bracket) * min(len(fa), len(fb)) * most(fa, wa) * most(fb, wb) << n - 1
+    width = (bound.bit_length() + 8) // 8 * 8  # 2^(width - 1) > bound, in whole bytes
+    samples = [0] * n
+
+    def packed(diffs, count):  # A(0), ..., A(count - 1) by Newton's forward formula, additions only
+        low, d = min(diffs), [0] * max(map(len, diffs.values()))
+        for k, row in diffs.items():
+            for j, c in enumerate(row):
+                d[j] += c << width * ((k - low) // step)
+        for _ in range(count):
+            yield d[0]
+            d = [*map(add_int, d, d[1:]), d[-1]]
+
+    def compose(left, values, grades, op):
+        # S(m) op= sum_h r_h(m) left(m + h) 2^(width (h - min h) / step), r_h the digits of values
+        low = min(grades)
+        columns = [*zip(*(_unpack(v, width, (max(grades) - low) // step + 1) for v in values[:n]))]
+        for h in grades:
+            p, start = (h - low) // step, max(0, -h)
+            products = map(mul_int, columns[p][start:], left[start + h : n + h])
+            samples[start:] = map(op, samples[start:], map(lshift, products, repeat(width * p)))
+
+    va, vb = [*packed(fa, wa)], [*packed(fb, wb)]
+    compose(va, vb, fb, add_int)
     if bracket:
-        compose(vb, va, sub_int)
-    return _read_back(samples)
+        compose(vb, va, fa, sub_int)
+    return _read_back(samples, step, width, size)
 
 
 def _sampled_pays(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int], bracket: bool) -> bool:

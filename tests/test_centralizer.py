@@ -726,6 +726,22 @@ class TestAssemblyByShifts:
         assert len(rows) == 459
         assert 0 < stopped < len(formed) / 2
 
+    def test_stream_forms_no_bracket_that_must_vanish(self, monkeypatch):
+        """[P_d, X^a] is 0 unless a > 0 and P_d has a Y, and [P_d, Y^b] unless
+        b > 0 and P_d has an X.  On L at bound 24 the stream forms 120
+        brackets, none of them 0; one per column and piece would be 252."""
+        bracket_sums = weylalg.centralizer._bracket_sums
+        nonzero = []
+
+        def counting(ta, tb):
+            sums = bracket_sums(ta, tb)
+            nonzero.append(any(sums.values()))
+            return sums
+
+        monkeypatch.setattr(weylalg.centralizer, "_bracket_sums", counting)
+        assert centralizer_basis(DIXMIER_L, 24).dimension == 8
+        assert len(nonzero) == 120 and all(nonzero)
+
     def test_columns_out_of_order_raise(self):
         columns = _newton_columns(DIXMIER_L, 12)[::-1]
         with pytest.raises(InternalInconsistencyError, match="descending order of their diagonal"):

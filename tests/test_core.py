@@ -33,6 +33,7 @@ from weylalg.core import (
     _read_back,
     _sampled_pays,
     _sampled_sums,
+    _unpack,
 )
 from weylalg.derivation import dixmier_pair_from_script
 from weylalg.oracle import act, max_y_exponent, oracle_mul_check, x_power
@@ -401,11 +402,18 @@ def test_sampled_kernel_matches_operator_composition(a, b):
         assert act(bracket, p) == ab - ba
 
 
-def test_gen_pair_witness_is_one_on_both_kernels():
-    script = _parse_script("addY:Y^3; addX:X^3; addY:Y^3; addX:X^2")
-    pair = dixmier_pair_from_script(script)
+@pytest.mark.parametrize(
+    "script, sizes",
+    [
+        ("addY:Y^3; addX:X^3; addY:Y^3; addX:X^2", (54, 679, 67)),
+        ("addY:Y^3; addX:X^3; addY:Y^3; addX:X^3", (81, 301, 40)),  # grades of step 4
+        ("addY:Y^2+Y; addX:X^2-X; addY:Y^5+1; addX:X^5+X", (100, 818, 173)),  # the CLI's cap
+    ],
+)
+def test_gen_pair_witness_is_one_on_both_kernels(script, sizes):
+    pair = dixmier_pair_from_script(_parse_script(script))
     p, q = pair.p, pair.q
-    assert (total_degree(p), len(p.terms), len(q.terms)) == (54, 679, 67)
+    assert (total_degree(p), len(p.terms), len(q.terms)) == sizes
     assert _sampled(q, p, True) == ONE
     assert _commutator_direct(q, p) == ONE
     assert pays(q, p, True)
@@ -428,28 +436,101 @@ def test_dispatch_keeps_small_operands_and_the_reverification_on_the_monomial_ru
 
 
 class TestReadBack:
+    # X^2 Y^2 sends x^n to n (n - 1) x^n and Y sends x^n to n x^(n - 1):
+    # with 8-bit digits, grade -1 in digit 0 and grade 0 in digit 1
     def test_exact(self):
-        # X^2 Y^2 sends x^n to n (n - 1) x^n; Y sends x^n to n x^(n - 1)
-        assert _read_back({0: [0, 0, 2], -1: [0, 1]}) == {(2, 2): 1, (0, 1): 1}
+        samples = [n + n * (n - 1) * 256 for n in range(3)]
+        assert _read_back(samples, 1, 8, {0: 3, -1: 2}) == {(2, 2): 1, (0, 1): 1}
 
     def test_inexact_difference_is_an_error(self):
         with pytest.raises(InternalInconsistencyError):
-            _read_back({0: [0, 0, 3]})  # Delta^2 = 3 is not a multiple of 2!
+            _read_back([0, 0, 3], 1, 8, {0: 3})  # Delta^2 = 3 is not a multiple of 2!
 
     def test_negative_exponent_is_an_error(self):
         with pytest.raises(InternalInconsistencyError):
-            _read_back({-1: [5]})  # would be X^-1
+            _read_back([5], 1, 8, {-1: 1})  # would be X^-1
+
+    def test_difference_beyond_the_degree_is_an_error(self):
+        with pytest.raises(InternalInconsistencyError):
+            _read_back([0, 0, 2], 1, 8, {0: 2})  # w_0 has degree below 2, so Delta^2 = 0
+        # grades 0 and 2 on step 2: Delta^1 may be nonzero for grade 2 only
+        assert _read_back([0, 256, 512], 2, 8, {0: 1, 2: 3}) == {(3, 1): 1}
+        with pytest.raises(InternalInconsistencyError):
+            _read_back([0, 257, 514], 2, 8, {0: 1, 2: 3})
+
+    def test_digit_out_of_range_is_an_error(self):
+        with pytest.raises(InternalInconsistencyError):
+            _read_back([1 << 20], 1, 8, {0: 1})
 
     def test_corrupted_sample_exits_3(self, capsys, monkeypatch):
         left, right = "(X+Y+1)^12", "(X-2*Y+3)^12"
         assert pays(parse_element(left), parse_element(right), True)
 
-        def corrupted(samples):
-            copy = {g: list(values) for g, values in samples.items()}
-            values = max(copy.values(), key=len)
-            values[-1] += 1
-            return _read_back(copy)
+        def corrupted(samples, *layout):
+            return _read_back([*samples[:-1], samples[-1] + 1], *layout)
 
         monkeypatch.setattr("weylalg.core._read_back", corrupted)
         assert main(["comm", left, right]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
+
+
+@st.composite
+def balanced_digits(draw):
+    """A width in whole bytes and digits in [-2^(width-1), 2^(width-1)), lowest first."""
+    width = 8 * draw(st.integers(1, 40))
+    half = 1 << width - 1
+    return width, draw(st.lists(st.integers(-half, half - 1), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_digits())
+def test_unpack_inverts_the_balanced_digits(layout):
+    width, digits = layout
+    value = sum(d << width * p for p, d in enumerate(digits))
+    assert _unpack(value, width, len(digits)) == digits
+
+
+# Packed samples: huge coefficients fill wide digits, and grades on a
+# lattice of step 2 to 4 pack with no empty digit between them.
+
+_HUGE = st.integers(-(10**60), 10**60).filter(bool)
+
+
+@st.composite
+def lattice_operands(draw):
+    """Two elements whose grades i - j lie on r + t Z for one step t, with
+    coefficients up to 10^60 over denominators up to 10^60, and grade spans
+    that may differ widely: one operand narrow, the other wide."""
+    step = draw(st.integers(2, 4))
+    operands = []
+    for span in draw(st.permutations([3, 14])):
+        residue = draw(st.integers(0, step - 1))
+        terms = []
+        for _ in range(draw(st.integers(1, 5))):
+            j = draw(st.integers(0, 6))
+            g = residue + step * draw(st.integers(-(j // step), span // step))
+            den = draw(st.integers(1, 10**60))
+            terms.append((j + g, j, Fraction(draw(_HUGE), den)))
+        operands.append(from_terms(terms))
+    return operands
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_operands())
+@example([from_terms([(0, 0, 10**60)]), from_terms([(30, 2, -(10**60)), (2, 30, Fraction(1, 10**60))])])
+def test_packed_kernel_on_lattices_and_huge_coefficients(operands):
+    a, b = operands
+    _assert_kernels_agree(a, b)
+    _assert_kernels_agree(b, a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_operands())
+def test_packed_kernel_on_lattices_matches_operator_composition(operands):
+    a, b = operands
+    product, bracket = _sampled(a, b, False), _sampled(a, b, True)
+    for n in range(max_y_exponent(a) + max_y_exponent(b) + 1):
+        p = x_power(n)
+        ab, ba = act(a, act(b, p)), act(b, act(a, p))
+        assert act(product, p) == ab
+        assert act(bracket, p) == ab - ba
