@@ -150,8 +150,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping
 
-from .core import Form, Monomial, ONE, WeylElement, commutator, mul, power, total_degree, transpose
-from .core import _bracket_sums, _factors, _integer_form, _over, _product
+from .core import Form, Monomial, ONE, WeylElement, commutator, mul, total_degree, transpose
+from .core import _bracket_sums, _factors, _integer_form, _nonzero, _over, _product
 from .errors import (
     BoundError,
     InternalInconsistencyError,
@@ -316,6 +316,11 @@ class CentralizerBasis:
     def _integer_forms(self) -> Mapping[int, Form]:
         # level -> the integer form of by_level[l], filled by `centralizer_basis`
         return MappingProxyType({l: _integer_form(e) for l, e in self.by_level.items()})
+
+    @cached_property
+    def _products(self) -> tuple[dict[int, tuple[int, int, Mapping[int, Fraction]]], dict[int, Form]]:
+        # the lazy table of `decompose`, and the integer form of the last product of each class
+        return {}, {}
 
     @property
     def dimension(self) -> int:
@@ -704,7 +709,7 @@ def _powers(q: WeylElement, n: int) -> list[Form]:
     out: list[Form] = [({(0, 0): 1}, 1)]
     for _ in range(n):
         form, e = out[-1]
-        out.append(({m: v for m, v in _product(form, terms).items() if v}, e * d))
+        out.append((_nonzero(_product(form, terms)), e * d))
     return out
 
 
@@ -829,61 +834,63 @@ def ray_degree(q: WeylElement, basis: CentralizerBasis) -> int:
     return basis.ray_degrees[max(coords)]
 
 
-def _s0(basis: CentralizerBasis) -> WeylElement:
-    # S_0 of `decompose` and `recompose`
-    return basis.picks[0] if basis.picks else ONE
-
-
 def decompose(q: WeylElement, basis: CentralizerBasis) -> list[XYPolynomial]:
     """Write q as T_0(S_0) + T_1(S_0) S_1 + ... over the canonical picks.
 
     S_0 is picks[0], or 1 on a basis of the constants, which has no picks,
-    and S_r is picks[r]; the returned list holds the polynomials
-    T_0 .. T_{period-1}.  Each step matches the leading ray coefficient
-    with the unique monic product S_0^m S_r of the same degree, where S_r
-    is the constant 1 for residue 0; this lowers the degree strictly.
+    S_r is picks[r] and 1 for r = 0, and the list holds T_0 .. T_{period-1}.
+    Each level l of the basis is that of one product P_l = S_0^m S_r, r its
+    degree modulo the period.  A lazy table of the basis, empty in a copy by
+    the constructor, holds level -> (r, m, coordinates of P_l), filled upward
+    only to q's leading level.  P_l is the basis vector B_l at 0 and at the
+    picks, else S_0 times the last product of its class by `core._product`,
+    expanded exactly (`_expansion`) and checked: 1 at l and no coordinate above.
 
-    Only q is expanded, to test membership.  The basis is reduced, so the
-    leading coordinate of a residual in the span is its coefficient at the
-    highest basis ray point where it is nonzero, below the level just
-    eliminated.  The loop stops only on an exact 0; a residual left with no
-    such coefficient means a product left the span, an internal fault.
+    Exactness: q = sum_l c_l B_l exactly (`expand_in_basis`), and each
+    P_l = sum_k M_kl B_k exactly, with M_ll = 1 and M_kl = 0 for k > l.  M is
+    unitriangular, so back substitution from the top gives the unique t with
+    q = sum_l t_l P_l, in rationals; T_r collects t_l Z^m over the class r.
     """
-    if expand_in_basis(basis, q) is None:
+    coords = expand_in_basis(basis, q)
+    if coords is None:
         raise MembershipError("element is not in the computed centralizer span")
-    period = basis.period
     if basis.picks and any(s is None for s in basis.picks):
         raise BoundError("basis is truncated: some residue classes have no pick")
-    s0 = _s0(basis)
-    coeffs: list[dict[int, Fraction]] = [dict() for _ in range(period)]
-    levels = list(basis.levels)  # the levels below the last one eliminated
-    residual = q
-    while residual:
-        while levels and not residual.coefficient(*basis.ray_point(levels[-1])):
-            levels.pop()
-        if not levels:
-            raise InternalInconsistencyError("leading elimination left the computed centralizer span")
-        level = levels.pop()
-        lam = residual.coefficient(*basis.ray_point(level))
-        deg = basis.ray_degrees[level]
-        residue = deg % period
-        pick_level = basis.pick_levels[residue] if residue else 0  # residue 0 counts from 1
-        m = (deg - basis.ray_degrees[pick_level]) // period
+    table, last = basis._products
+    period, top = basis.period, max(coords, default=0)
+    for l in basis.levels[len(table) :]:
+        if l > top:
+            break
+        deg = basis.ray_degrees[l]
+        r = deg % period
+        m = (deg - (basis.ray_degrees[basis.pick_levels[r]] if r else 0)) // period
         if m < 0:
-            raise InternalInconsistencyError(
-                "pick degree exceeds the degree of its residue class member"
-            )
-        coeffs[residue][m] = lam  # each level gives its own (residue, m)
-        factor = power(s0, m)
-        if residue:
-            factor = mul(factor, basis.picks[residue])
-        residual = residual - lam * factor
-    return [XYPolynomial([acc.get(m, 0) for m in range(max(acc, default=-1) + 1)]) for acc in coeffs]
+            raise InternalInconsistencyError("pick degree exceeds the degree of its residue class member")
+        if l == 0 or l in basis.pick_levels:
+            last[r], column = basis._integer_forms[l], {l: 1}
+        else:
+            (s, d), (t, e) = basis._integer_forms[basis.pick_levels[0]], last[r]
+            last[r] = t, e = _nonzero(_product(s, t)), d * e
+            column = _expansion(basis, t, e)
+            if column is None or column.get(l) != 1 or max(column) != l:
+                raise InternalInconsistencyError(f"the product at level {l} is not monic in the computed span")
+        table[l] = (r, m, column)
+    parts: list[dict[int, Fraction]] = [{} for _ in range(period)]
+    for l in reversed(table):
+        c = coords.get(l)
+        if c:
+            r, m, column = table[l]
+            parts[r][m] = c
+            for k, v in column.items():
+                coords[k] = coords.get(k, 0) - c * v
+    return [XYPolynomial([acc.get(m, 0) for m in range(max(acc, default=-1) + 1)]) for acc in parts]
 
 
 def recompose(parts: list[XYPolynomial], basis: CentralizerBasis) -> WeylElement:
-    """Inverse of decompose: T_0(S_0) + sum of T_r(S_0) * S_r."""
-    s0 = _s0(basis)
+    """Inverse of decompose: T_0(S_0) + sum of T_r(S_0) * S_r, one part per residue class."""
+    if len(parts) != basis.period:
+        raise MalformedInputError(f"recompose takes {basis.period} parts, one per residue class, got {len(parts)}")
+    s0 = basis.picks[0] if basis.picks else ONE
     out = evaluate_at_element(parts[0], s0)
     for r in range(1, len(parts)):
         out = out + mul(evaluate_at_element(parts[r], s0), basis.picks[r])

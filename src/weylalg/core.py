@@ -78,8 +78,11 @@ none.  Dense operands of degree D cost O(D^2) products of a scalar and a
 row of O(D) digits, against O(D^5) for the monomial rule.
 
 `mul` and `commutator` choose a kernel per call; `_product` makes the
-choice of `mul` for operands already in integer form, and the centralizer
-forms the powers of P with it, with no Fraction in between.  With na, nb
+choice of `mul` for operands already in integer form.  `power`,
+`graded.evaluate_at_element`, the powers of P and the products of
+`decompose` chain it with one division at the end (`_nonzero` drops the
+cancelled sums between steps, so each step sees the support, and the
+kernel, that `mul` would).  With na, nb
 the term counts, fewer than 1000 term pairs go straight to the monomial
 rule, so small operands pay O(1) for the choice.  Otherwise the monomial
 rule is estimated at na nb (1 + L), with L the smaller of the mean Y
@@ -103,8 +106,6 @@ The monomial rule stays: it is also the bracket rule of the centralizer's
 matrix assembly, it is cheaper on small and lopsided operands, and the
 tests compare the two kernels with each other and with the independent
 action of `oracle.py`.
-
-`power` squares repeatedly over the dispatching `mul`.
 
 `transpose` swaps the two exponents of every term.  It is the
 anti-automorphism that exchanges X and Y, and the rest of the package uses
@@ -447,6 +448,11 @@ def _product(ta: Mapping[Monomial, int], tb: Mapping[Monomial, int]) -> dict[Mon
     return _sampled_sums(ta, tb, False) if _sampled_pays(ta, tb, False) else _product_sums(ta, tb)
 
 
+def _nonzero(sums: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The sums without their cancelled entries: the numerators of a chain's next step."""
+    return {m: v for m, v in sums.items() if v}
+
+
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product, by the monomial rule or by sampling: the cheaper estimate."""
     ta, da = _integer_form(a)
@@ -472,16 +478,18 @@ def transpose(a: WeylElement) -> WeylElement:
 
 
 def power(a: WeylElement, n: int) -> WeylElement:
+    """a^n by repeated squaring on the integer form, with one division at the end."""
     if not isinstance(n, int) or n < 0:
         raise MalformedInputError(f"exponent must be a nonnegative integer, got {n!r}")
-    out = ONE
+    terms, d = _integer_form(a)
+    out, e = {(0, 0): 1}, 1
     while n:
         if n & 1:
-            out = mul(out, a)
+            out, e = _nonzero(_product(out, terms)), e * d
         n >>= 1
         if n:
-            a = mul(a, a)
-    return out
+            terms, d = _nonzero(_product(terms, terms)), d * d
+    return _over(out, e)
 
 
 def total_degree(a: WeylElement) -> int:

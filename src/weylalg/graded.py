@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .core import Coefficient, WeylElement, _integer_form, _over, mul
+from .core import Coefficient, WeylElement, _integer_form, _nonzero, _over, _product
 from .errors import MalformedInputError, NotHomogeneousError
 from .leading import diag_degree, _require_nonzero
 
@@ -190,8 +190,16 @@ def from_graded_form(form: GradedForm) -> WeylElement:
 
 
 def evaluate_at_element(f: XYPolynomial, s: WeylElement) -> WeylElement:
-    """f(s) inside the algebra, by Horner's scheme."""
-    acc = WeylElement()
+    """f(s) inside the algebra, by Horner's scheme on the integer form T / d of s.
+
+    The accumulator is A / e, e = D d^k after k steps A <- A T (`core._product`),
+    D the lcm of the denominators of f, so a coefficient c adds the integer c e.
+    """
+    terms, d = _integer_form(s)
+    acc, e = {}, lcm(*(c.denominator for c in f))
     for c in reversed(f):
-        acc = mul(acc, s) + c
-    return acc
+        if acc:
+            acc, e = _product(acc, terms), e * d
+        acc[(0, 0)] = acc.get((0, 0), 0) + c.numerator * (e // c.denominator)
+        acc = _nonzero(acc)
+    return _over(acc, e)

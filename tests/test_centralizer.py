@@ -1,7 +1,9 @@
 import json
 import random
 from contextlib import nullcontext
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from unittest import mock
 
@@ -1366,13 +1368,24 @@ class TestDecomposeSyntheticPeriodTwo:
         assert parts == [XYPolynomial([0, 0, -2]), Z + 1]
 
 
-def adds_x(product):
-    """A product that is off by X: a fault of the program, not of the input."""
-    return lambda a, b: product(a, b) + X
+def corrupts_product(change):
+    """A `_product` whose integer sums pass through `change`: a fault of the program, not of the input."""
+    product = weylalg.centralizer._product
+    return lambda ta, tb: change(product(ta, tb))
+
+
+def adds_x(sums):
+    # off by X, which leaves the span of L's centralizer
+    return {**sums, (1, 0): sums.get((1, 0), 0) + 1}
+
+
+def doubled(sums):
+    # still in the span, but 2 at its leading level
+    return {m: 2 * v for m, v in sums.items()}
 
 
 class TestDecomposeFaults:
-    """q is expanded once; a residual that leaves the span afterwards is an internal fault."""
+    """q is expanded once; a product of the table that leaves the span or is not monic is an internal fault."""
 
     def test_expands_once(self, monkeypatch):
         basis = centralizer_basis(DIXMIER_L, 18)
@@ -1383,17 +1396,27 @@ class TestDecomposeFaults:
         assert spy.call_count == 1
 
     def test_corrupted_product_raises(self, monkeypatch):
+        # level 12 is S_0^2, the first product the table forms; levels 0, 6 and 9 are basis vectors
         basis = centralizer_basis(DIXMIER_L, 18)
-        monkeypatch.setattr(weylalg.centralizer, "mul", adds_x(weylalg.centralizer.mul))
-        with pytest.raises(InternalInconsistencyError):
-            decompose(basis.by_level[9], basis)
+        monkeypatch.setattr(weylalg.centralizer, "_product", corrupts_product(adds_x))
+        assert decompose(basis.by_level[9], basis) == [XYPolynomial(), XYPolynomial([1])]
+        with pytest.raises(InternalInconsistencyError, match="at level 12"):
+            decompose(basis.by_level[12], basis)
+
+    def test_product_that_is_not_monic_raises(self, monkeypatch):
+        basis = centralizer_basis(DIXMIER_L, 18)
+        coords = expand_in_basis(basis, 2 * power(basis.picks[0], 2))  # in the span, 2 at the top
+        assert max(coords) == 12 and coords[12] == 2
+        monkeypatch.setattr(weylalg.centralizer, "_product", corrupts_product(doubled))
+        with pytest.raises(InternalInconsistencyError, match="at level 12"):
+            decompose(basis.by_level[12], basis)
 
     def test_corrupted_product_exits_3(self, capsys, monkeypatch):
-        pick = format_element(centralizer_basis(DIXMIER_L, 18).by_level[9])
-        monkeypatch.setattr(weylalg.centralizer, "mul", adds_x(weylalg.centralizer.mul))
-        argv = ["decompose", pick, "--basis-of", "(Y^2 + X^3 + 1)^2 + 2*X", "--max-total-degree", "18"]
+        element = format_element(centralizer_basis(DIXMIER_L, 18).by_level[12])
+        monkeypatch.setattr(weylalg.centralizer, "_product", corrupts_product(adds_x))
+        argv = ["decompose", element, "--basis-of", "(Y^2 + X^3 + 1)^2 + 2*X", "--max-total-degree", "18"]
         assert main(argv) == 3
-        assert "internal inconsistency" in capsys.readouterr().err
+        assert "internal inconsistency: the product at level 12 is not monic" in capsys.readouterr().err
 
     def test_membership_is_checked_before_truncation(self):
         # levels 0, 3, 4: period 3, and no level of degree 2 mod 3
@@ -1404,6 +1427,111 @@ class TestDecomposeFaults:
             decompose(Y, basis)
         with pytest.raises(BoundError):
             decompose(power(X, 3), basis)
+
+
+class TestRecompose:
+    """One part per residue class: L's basis at bound 18 has period 2."""
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_wrong_number_of_parts_is_malformed(self, count):
+        basis = centralizer_basis(DIXMIER_L, 18)
+        assert basis.period == 2
+        with pytest.raises(MalformedInputError, match=f"takes 2 parts, one per residue class, got {count}"):
+            recompose([Z + 1] * count, basis)
+
+
+def residual_decompose(q, basis):
+    """`decompose` by subtracting leading products from the residual, with `mul` and `power`.
+
+    The reference for the table: each step matches the leading ray
+    coefficient with S_0^m S_r of the same degree, formed from scratch.
+    """
+    period, s0 = basis.period, basis.picks[0] if basis.picks else ONE
+    coeffs = [{} for _ in range(period)]
+    levels = list(basis.levels)
+    residual = q
+    while residual:
+        while not residual.coefficient(*basis.ray_point(levels[-1])):
+            levels.pop()
+        level = levels.pop()
+        lam = residual.coefficient(*basis.ray_point(level))
+        deg = basis.ray_degrees[level]
+        residue = deg % period
+        m = (deg - (basis.ray_degrees[basis.pick_levels[residue]] if residue else 0)) // period
+        coeffs[residue][m] = lam
+        factor = power(s0, m)
+        if residue:
+            factor = mul(factor, basis.picks[residue])
+        residual = residual - lam * factor
+    return [XYPolynomial([acc.get(m, 0) for m in range(max(acc, default=-1) + 1)]) for acc in coeffs]
+
+
+@cache
+def table_basis(name):
+    """(basis, {level: (r, m, S_0^m S_r by `mul` and `power`)}) for one of the round-trip bases."""
+    p, bound = {
+        "L@18": (DIXMIER_L, 18),
+        "L@30": (DIXMIER_L, 30),
+        "P6@36": (P6, 36),
+        "L-fourier@24": (DIXMIER_L_FOURIER, 24),
+        "H_Y@30": (H_Y, 30),
+    }[name]
+    basis = centralizer_basis(p, bound)
+    s0, n = basis.picks[0], basis.period
+    products = {}
+    for l in basis.levels:
+        deg = basis.ray_degrees[l]
+        r = deg % n
+        m = (deg - (basis.ray_degrees[basis.pick_levels[r]] if r else 0)) // n
+        products[l] = (r, m, mul(power(s0, m), basis.picks[r]) if r else power(s0, m))
+    return basis, products
+
+
+class TestProductTable:
+    """`decompose` solves against a lazy table of the products S_0^m S_r, one table per basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_round_trip_against_the_residual_loop(self, data):
+        # L's Fourier image leads at X^4, on its top diagonal, so its basis is
+        # in the x sector, with picks at levels 4 and 6; H_Y's is in the y sector
+        name = data.draw(st.sampled_from(["L@18", "L@30", "P6@36", "L-fourier@24", "H_Y@30"]))
+        basis, products = table_basis(name)
+        assert (basis.sector, basis.period) == {"P6@36": ("x", 1), "H_Y@30": ("y", 1)}.get(name, ("x", 2))
+        coeffs = data.draw(st.dictionaries(st.sampled_from(basis.levels), _coeffs, max_size=len(basis.levels)))
+        q, expected = ZERO, [{} for _ in range(basis.period)]
+        for l, c in coeffs.items():
+            r, m, product = products[l]
+            q, expected[r][m] = q + c * product, c
+        fresh = data.draw(st.booleans())  # a copy by the constructor starts with an empty table
+        parts = decompose(q, replace(basis) if fresh else basis)
+        assert parts == residual_decompose(q, basis)
+        assert parts == [XYPolynomial([acc.get(m, 0) for m in range(max(acc, default=-1) + 1)]) for acc in expected]
+        assert recompose(parts, basis) == q
+
+    def test_low_element_on_a_high_basis_forms_no_product(self, monkeypatch):
+        basis = centralizer_basis(DIXMIER_L, 60)
+        spy = mock.Mock(wraps=weylalg.centralizer._product)
+        monkeypatch.setattr(weylalg.centralizer, "_product", spy)
+        assert decompose(basis.by_level[9], basis) == [XYPolynomial(), XYPolynomial([1])]
+        assert spy.call_count == 0
+
+    def test_each_product_is_formed_once_per_basis(self, monkeypatch):
+        basis = centralizer_basis(DIXMIER_L, 30)
+        s0, s = basis.picks
+        assert basis.levels == (0, 6, 9, 12, 15, 18, 21, 24, 27, 30) and basis.pick_levels == (6, 9)
+        spy = mock.Mock(wraps=weylalg.centralizer._product)
+        monkeypatch.setattr(weylalg.centralizer, "_product", spy)
+        calls = []
+        for q in (power(s, 2) + s0, mul(s0, s), power(s0, 4) - mul(s0, s), power(s, 2)):
+            parts = decompose(q, basis)
+            assert recompose(parts, basis) == q
+            calls.append(spy.call_count)
+        # leading at levels 18, 15, 24 and 18: the first call forms the products at
+        # levels 12, 15 and 18, the third those at 21 and 24, and the others none
+        assert calls == [3, 3, 5, 5]
+        decompose(power(s0, 4) - mul(s0, s), replace(basis))
+        assert spy.call_count == 10
 
 
 class TestMonomialAlgebraEmbedding:

@@ -199,6 +199,25 @@ class TestPower:
         with pytest.raises(MalformedInputError):
             power(X, -1)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16])
+    def test_mixed_denominators_match_repeated_mul(self, n):
+        base, expected = Fraction(1, 3) * X + Fraction(1, 2) * Y + Fraction(1, 5), ONE
+        for _ in range(n):
+            expected = mul(expected, base)
+        assert power(base, n) == expected
+
+    def test_powers_of_zero(self):
+        assert power(ZERO, 0) == ONE
+        assert power(ZERO, 3) == ZERO
+
+    @settings(max_examples=40, deadline=None)
+    @given(weyl_elements(), st.integers(0, 6))
+    def test_matches_repeated_mul(self, a, n):
+        expected = ONE
+        for _ in range(n):
+            expected = mul(expected, a)
+        assert power(a, n) == expected
+
 
 class TestTotalDegree:
     def test_values(self):

@@ -236,3 +236,25 @@ def test_evaluate_at_element():
     s = X + power(Y, 2)
     assert evaluate_at_element(f, s) == mul(s, s) - 3
     assert evaluate_at_element(XYPolynomial(), s) == ZERO
+
+
+def horner_by_fractions(f, s):
+    """f(s) by acc = acc*s + c on elements: a Fraction after every step."""
+    acc = ZERO
+    for c in reversed(f):
+        acc = mul(acc, s) + c
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(xy_polys, weyl_elements())
+def test_evaluate_at_element_is_the_fraction_horner_scheme(f, s):
+    assert evaluate_at_element(f, s) == horner_by_fractions(f, s)
+
+
+def test_evaluate_at_element_with_fractions():
+    f = XYPolynomial([Fraction(1, 2), Fraction(-3, 7), 0, Fraction(5, 4)])
+    s = Fraction(1, 3) * X + Fraction(1, 2) * Y + Fraction(1, 5)
+    assert evaluate_at_element(f, s) == horner_by_fractions(f, s)
+    assert evaluate_at_element(f, Fraction(2, 3) * ONE) == f(Fraction(2, 3))
+    assert evaluate_at_element(f, ZERO) == Fraction(1, 2)
